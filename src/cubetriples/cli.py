@@ -1,17 +1,24 @@
 """Command-line front end: solve, oracle, trace, and scan subcommands.
 
-All integer flags accept values of any magnitude; exit code 0 means the
-command ran (an empty solution set is an answer, not an error), 2 is a
-usage error, 1 a runtime failure such as an unwritable output path.
+All integer flags accept values of any magnitude.  Exit codes:
+
+0  the command ran; an empty solution set is an answer, not an error.
+1  a runtime failure, reported as one line on stderr: an unwritable output
+   path, or a d0 whose factorization trial division cannot complete.
+   scan writes to a sibling temporary file and renames it onto --out only
+   on success, so a failed scan leaves no partial output.
+2  a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
+from .intmath import IncompleteFactorizationError
 from .oracle import brute_force
 from .scan import record_to_json, scan_grid
 from .solver import SolutionSet, TripleSystem, solve
@@ -65,33 +72,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_finite(solution_set: SolutionSet, format: str) -> None:
+def _print_solutions(solution_set: SolutionSet, format: str) -> None:
     if format == "json":
         print(json.dumps(solution_set.to_json_dict()))
-        return
-    assert solution_set.triples is not None
-    if not solution_set.triples:
+    elif solution_set.kind == "infinite_family":
+        print(format_solution_set(solution_set))
+    elif not solution_set.triples:
         print("no solutions")
-        return
-    for triple in solution_set.triples:
-        print(format_triple(triple))
+    else:
+        for triple in solution_set.triples:
+            print(format_triple(triple))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    result = solve(TripleSystem(args.sum, args.cubes))
-    if result.kind == "infinite_family":
-        if args.format == "json":
-            print(json.dumps(result.to_json_dict()))
-        else:
-            print(format_solution_set(result))
-        return 0
-    _print_finite(result, args.format)
+    _print_solutions(solve(TripleSystem(args.sum, args.cubes)), args.format)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     triples = brute_force(TripleSystem(args.sum, args.cubes), args.bound)
-    _print_finite(SolutionSet.finite(tuple(triples)), args.format)
+    _print_solutions(SolutionSet.finite(tuple(triples)), args.format)
     return 0
 
 
@@ -106,22 +106,28 @@ def cmd_scan(args: argparse.Namespace) -> int:
     s_range = args.sum_range
     c_range = args.cubes_range
     counts = {"finite": 0, "empty": 0, "infinite_family": 0}
+    partial = f"{args.out}.{os.getpid()}.tmp"
     try:
-        sink = open(args.out, "w", encoding="utf-8")
+        sink = open(partial, "x", encoding="utf-8")
     except OSError as exc:
         print(f"cannot open output file: {exc}", file=sys.stderr)
         return 1
-    with sink:
-        for record in scan_grid(
-            s_range, c_range, workers=args.jobs, include_solutions=args.include_solutions
-        ):
-            if record.kind == "infinite_family":
-                counts["infinite_family"] += 1
-            elif record.solution_count == 0:
-                counts["empty"] += 1
-            else:
-                counts["finite"] += 1
-            sink.write(record_to_json(record) + "\n")
+    try:
+        with sink:
+            for record in scan_grid(
+                s_range, c_range, workers=args.jobs, include_solutions=args.include_solutions
+            ):
+                if record.kind == "infinite_family":
+                    counts["infinite_family"] += 1
+                elif record.solution_count == 0:
+                    counts["empty"] += 1
+                else:
+                    counts["finite"] += 1
+                sink.write(record_to_json(record) + "\n")
+        os.replace(partial, args.out)
+    except BaseException:
+        os.unlink(partial)
+        raise
     total = sum(counts.values())
     print(
         f"{total} systems: {counts['finite']} finite, {counts['empty']} empty, "
@@ -147,7 +153,11 @@ def main(argv: list[str] | None = None) -> int:
         "trace": cmd_trace,
         "scan": cmd_scan,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (IncompleteFactorizationError, OSError) as exc:
+        print(f"cubetriples {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -38,6 +38,10 @@ class IncompleteFactorizationError(ValueError):
             f"certified prime within the trial limit"
         )
 
+    def __reduce__(self):
+        # rebuild from (n, cofactor) so the error survives a process pool
+        return (type(self), (self.n, self.cofactor))
+
 
 @dataclass(frozen=True)
 class Factorization:

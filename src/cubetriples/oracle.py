@@ -12,8 +12,6 @@ in int64.  Both enumerate the identical box; tests cross-check them.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .solver import Triple, TripleSystem
 
 __all__ = ["brute_force"]
@@ -47,6 +45,9 @@ def _sweep_python(system: TripleSystem, bound: int) -> list[Triple]:
 
 
 def _sweep_numpy(system: TripleSystem, bound: int) -> list[Triple]:
+    # imported here so that solve, trace and scan never pay for numpy
+    import numpy as np
+
     s, c = system.s, system.c
     values = np.arange(-bound, bound + 1, dtype=np.int64)
     cubes = values * values * values

@@ -9,8 +9,8 @@ to one quadratic per pivot,
 
 which has integer content only when 3k divides d0 = c - s^3.  That
 divisibility condition admits finitely many pivots whenever d0 != 0, so
-enumerating divisors of d0 and testing each quadratic's discriminant yields
-every solution.  The degenerate case c = s^3 (d0 = 0) makes the quadratic
+enumerating the signed divisors k of d0/3 and testing each quadratic's
+discriminant yields every solution.  The degenerate case c = s^3 (d0 = 0) makes the quadratic
 factor as (X - s)(X + Z) = 0 for every pivot, producing the infinite family
 of permutations of (s, t, -t).
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from .intmath import perfect_square_root, signed_divisors
 
@@ -73,14 +73,13 @@ class Triple:
 class CandidateZ:
     """An admissible pivot value z with its derived quantities.
 
-    k = s - z, and d = d0 / (3k) is the exact remainder the quadratic
-    inherits; 3k | d0 holds by construction.
+    k = s - z is a signed divisor of d0/3, and d = d0 / (3k) is the exact
+    remainder the quadratic inherits.
     """
 
     z: int
     k: int
     d: int
-    d0: int
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,9 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
 
     z is admissible iff z != s and 3(s - z) divides d0 = c - s^3; these are
     the only values any solution coordinate can take in a non-degenerate
-    system.  Enumerated via the signed divisors of d0 that are multiples
-    of 3.
+    system.  So there are none unless 3 | d0, and otherwise k = s - z runs
+    over the signed divisors of d0/3; walking them in descending order
+    yields z ascending.
     """
     if system.degenerate:
         raise ValueError(
@@ -141,35 +141,41 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
             f"solve() handles this case"
         )
     d0 = system.d0
-    candidates = []
-    for divisor in signed_divisors(d0):
-        if divisor % 3 != 0:
-            continue
-        k = divisor // 3
-        candidates.append(CandidateZ(z=system.s - k, k=k, d=d0 // divisor, d0=d0))
-    candidates.sort(key=lambda cand: cand.z)
-    return candidates
+    if d0 % 3 != 0:
+        return []
+    reduced = d0 // 3
+    return [
+        CandidateZ(z=system.s - k, k=k, d=reduced // k)
+        for k in reversed(signed_divisors(reduced))
+    ]
+
+
+def _pivot_outcome(candidate: CandidateZ, s: int) -> tuple[int, int, list[int]]:
+    """Constant s*z + d, discriminant, and ascending integer roots of X^2 - k*X - (s*z + d) = 0."""
+    k = candidate.k
+    constant = s * candidate.z + candidate.d
+    discriminant = k * k + 4 * constant
+    root = perfect_square_root(discriminant)
+    if root is None:
+        return constant, discriminant, []
+    # discriminant = k^2 (mod 4), so root = k (mod 2) and both roots are integers
+    roots = [(k - root) // 2, (k + root) // 2] if root else [k // 2]
+    return constant, discriminant, roots
 
 
 def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[int]:
-    """Integer roots of X^2 - k*X - (s*z + d) = 0, sorted ascending.
+    """Integer roots of X^2 - k*X - (s*z + d) = 0, sorted ascending; empty
+    when the discriminant k^2 + 4(s*z + d) is negative or not a square."""
+    return _pivot_outcome(candidate, system.s)[2]
 
-    Empty when the discriminant k^2 + 4(s*z + d) is negative, not a perfect
-    square, or of the wrong parity relative to k.
-    """
-    k = candidate.k
-    constant = system.s * candidate.z + candidate.d
-    discriminant = k * k + 4 * constant
-    if discriminant < 0:
-        return []
-    root = perfect_square_root(discriminant)
-    if root is None:
-        return []
-    if (k - root) % 2 != 0:
-        return []
-    if root == 0:
-        return [k // 2]
-    return sorted(((k - root) // 2, (k + root) // 2))
+
+def _fold(s: int, pivots: Iterable[tuple[int, list[int]]]) -> SolutionSet:
+    """The sorted, permutation-closed finite set of every (x, s - z - x, z)."""
+    found: set[tuple[int, int, int]] = set()
+    for z, roots in pivots:
+        for x in roots:
+            found.update(itertools.permutations((x, s - z - x, z)))
+    return SolutionSet.finite(tuple(Triple(*t) for t in sorted(found)))
 
 
 def completeness_bound(system: TripleSystem) -> int:
@@ -194,9 +200,5 @@ def solve(system: TripleSystem) -> SolutionSet:
     """
     if system.degenerate:
         return SolutionSet.infinite_family(system.s)
-    found: set[Triple] = set()
-    for candidate in candidate_zs(system):
-        for x in solve_quadratic_for_x(candidate, system):
-            y = system.s - candidate.z - x
-            found.update(Triple(x, y, candidate.z).permutations())
-    return SolutionSet.finite(tuple(sorted(found)))
+    s = system.s
+    return _fold(s, ((c.z, _pivot_outcome(c, s)[2]) for c in candidate_zs(system)))

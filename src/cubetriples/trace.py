@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .solver import SolutionSet, Triple, TripleSystem, candidate_zs, solve, solve_quadratic_for_x
+from .solver import SolutionSet, Triple, TripleSystem, _fold, _pivot_outcome, candidate_zs
 
 __all__ = [
     "RENDER_FORMATS",
@@ -153,7 +153,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         add(
             "solutions",
-            format_solution_set(solve(system)),
+            format_solution_set(SolutionSet.infinite_family(s)),
             "Every choice of integer t gives a solution, so the set is infinite.",
         )
         return steps
@@ -183,10 +183,10 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         f"{d0} that is a multiple of 3.",
     )
 
+    pivots = []
     for cand in candidates:
-        constant = s * cand.z + cand.d
-        discriminant = cand.k * cand.k + 4 * constant
-        roots = solve_quadratic_for_x(cand, system)
+        constant, discriminant, roots = _pivot_outcome(cand, s)
+        pivots.append((cand.z, roots))
         if roots:
             triples = ", ".join(
                 format_triple(Triple(x, s - cand.z - x, cand.z)) for x in roots
@@ -198,15 +198,12 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         elif discriminant < 0:
             note = f"Discriminant {discriminant} is negative, so Z = {cand.z} is rejected."
         else:
-            note = (
-                f"Discriminant {discriminant} is not a perfect square, so "
-                f"Z = {cand.z} is rejected."
-            )
+            note = f"Discriminant {discriminant} is not a perfect square, so Z = {cand.z} is rejected."
         add(f"candidate Z = {cand.z}", _quadratic_text(cand.k, constant), note)
 
     add(
         "solutions",
-        format_solution_set(solve(system)),
+        format_solution_set(_fold(s, pivots)),
         "Union of the surviving triples, closed under all 6 coordinate "
         "permutations and sorted.",
     )

@@ -10,6 +10,11 @@ from cubetriples.cli import main
 from cubetriples.solver import SolutionSet, TripleSystem, solve
 
 
+# s = 0, c = 3 * 1000003 * 1000033: both primes lie just above the trial
+# limit, so d0 cannot be factored completely
+UNFACTORED_C = "3000108000297"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -47,6 +52,19 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--sum", "0", "--cubes", "3")
         assert code == 0
         assert out.strip() == "no solutions"
+
+    def test_no_factoring_when_three_does_not_divide_d0(self, capsys):
+        # d0 = 1000003 * 1000033 lies beyond trial division, and d0 = 1 (mod 3)
+        code, out, _ = run_cli(capsys, "solve", "--sum", "0", "--cubes", "1000036000099")
+        assert code == 0
+        assert out.strip() == "no solutions"
+
+    def test_incomplete_factorization_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--sum", "0", "--cubes", UNFACTORED_C)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "incomplete factorization" in err
 
     def test_huge_flag_values_accepted(self, capsys):
         big = 10**30
@@ -124,6 +142,13 @@ class TestTraceCommand:
             main(["trace", "--sum", "3", "--cubes", "3", "--format", "html"])
         assert excinfo.value.code == 2
 
+    def test_incomplete_factorization_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "--sum", "0", "--cubes", UNFACTORED_C)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "incomplete factorization" in err
+
 
 class TestScanCommand:
     def test_known_point(self, capsys, tmp_path):
@@ -200,6 +225,20 @@ class TestScanCommand:
         assert code == 1
         assert "cannot open output file" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_incomplete_factorization_leaves_no_output(self, capsys, tmp_path, jobs):
+        # the range holds c = UNFACTORED_C between points that do factor
+        out_file = tmp_path / "r.jsonl"
+        code, _, err = run_cli(
+            capsys, "scan", "--sum-range", "0:0",
+            "--cubes-range", "3000108000290:3000108000300",
+            "--out", str(out_file), "--jobs", jobs,
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "incomplete factorization" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_module_entry_point():
     result = subprocess.run(
@@ -209,6 +248,24 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "(-5, 4, 4)"
+
+
+def test_numpy_not_loaded_outside_oracle():
+    imported = subprocess.run(
+        [sys.executable, "-c", "import sys, cubetriples; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert imported.stdout == "False\n"
+    # -X importtime lists every module the command imports on stderr
+    solved = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cubetriples", "solve", "--sum", "3", "--cubes", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert solved.returncode == 0
+    assert "cubetriples.cli" in solved.stderr
+    assert "numpy" not in solved.stderr
 
 
 def test_no_command_is_usage_error():

@@ -55,7 +55,7 @@ class TestCandidateZs:
         assert [c.z for c in cands] == [-5, -1, 1, 2, 4, 5, 7, 11]
         assert [c.k for c in cands] == [8, 4, 2, 1, -1, -2, -4, -8]
         assert [c.d for c in cands] == [-1, -2, -4, -8, 8, 4, 2, 1]
-        assert all(c.d0 == -24 for c in cands)
+        assert all(c.d * 3 * c.k == -24 for c in cands)
 
     def test_known_instance_negative_pivots(self):
         assert [c.z for c in candidate_zs(SYS33) if c.z < 0] == [-5, -1]
@@ -82,7 +82,7 @@ class TestCandidateZs:
         assert [c.z for c in cands] == expected
         for c in cands:
             assert c.z == system.s - c.k
-            assert c.d * 3 * c.k == c.d0 == system.d0
+            assert c.d * 3 * c.k == system.d0
 
 
 class TestSolveQuadraticForX:
@@ -168,6 +168,11 @@ class TestSolve:
 
     def test_empty_instance(self):
         assert solve(TripleSystem(0, 3)).triples == ()
+
+    def test_no_factoring_when_three_does_not_divide_d0(self):
+        # d0 = 1000003 * 1000033: both primes lie above the trial limit, so
+        # factoring d0 would fail, but d0 = 1 (mod 3) admits no pivot at all
+        assert solve(TripleSystem(0, 1000036000099)) == SolutionSet.finite(())
 
     def test_deterministic_output(self):
         a = solve(SYS33)

@@ -15,7 +15,13 @@ from cubetriples.trace import (
     solve_linear_diophantus,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "trace_3_3.md"
+DATA = Path(__file__).parent / "data"
+
+# Together these cover s = 0, s < 0 and s > 0, d0 of either sign, 3 not
+# dividing d0, the degenerate case with s = 0 and s != 0, and every
+# per-pivot note: double root, two roots, negative discriminant, non-square.
+GOLDEN_SYSTEMS = [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]
+GOLDEN_EXTENSIONS = {"plain": "txt", "markdown": "md", "structured-records": "jsonl"}
 
 systems = st.builds(
     TripleSystem,
@@ -66,6 +72,11 @@ class TestDeriveTrace:
         assert "(X - 1)(X + Z) = 0" in trace[4].equation_text
         assert "infinite family" in trace[-1].equation_text
 
+    def test_no_factoring_when_three_does_not_divide_d0(self):
+        # d0 = 1000003 * 1000033 lies beyond trial division, and d0 = 1 (mod 3)
+        trace = derive_trace(TripleSystem(0, 1000036000099))
+        assert trace[-1].equation_text == "(X, Y, Z) in {}"
+
     @given(systems)
     def test_candidates_step_matches_solver(self, system):
         if system.degenerate:
@@ -91,9 +102,11 @@ class TestRender:
         with pytest.raises(ValueError):
             render([], "latex")
 
-    def test_markdown_golden(self):
-        text = render(derive_trace(TripleSystem(3, 3)), "markdown")
-        assert text == GOLDEN.read_text()
+    @pytest.mark.parametrize("format", list(GOLDEN_EXTENSIONS))
+    @pytest.mark.parametrize("s,c", GOLDEN_SYSTEMS)
+    def test_markdown_golden(self, s, c, format):
+        golden = DATA / f"trace_{s}_{c}.{GOLDEN_EXTENSIONS[format]}"
+        assert render(derive_trace(TripleSystem(s, c)), format) == golden.read_text()
 
     def test_structured_records_shape(self):
         trace = derive_trace(TripleSystem(3, 3))
