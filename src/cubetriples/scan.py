@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterator
@@ -85,6 +84,9 @@ def scan_grid(
     if workers == 1:
         yield from map(classify, points)
         return
+    # imported here so that importing the package never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     point_list = list(points)
     chunksize = max(1, len(point_list) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,15 +13,21 @@ enumerating the signed divisors k of d0/3 and testing each quadratic's
 discriminant yields every solution.  The degenerate case c = s^3 (d0 = 0) makes the quadratic
 factor as (X - s)(X + Z) = 0 for every pivot, producing the infinite family
 of permutations of (s, t, -t).
+
+Only pivots with |s^2 - Z^2| <= 4|d0/3| can have roots.  The discriminant is
+D = (k - 2s)^2 + 4d = a^2 + 4d with a = -(s + Z); if D = b^2 then
+4|d| = |b - |a||*(b + |a|) >= |a| because d != 0, and multiplying by
+|k| = |s - Z| gives |s + Z|*|s - Z| <= 4|d0/3|.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .intmath import perfect_square_root, signed_divisors
+from .intmath import isqrt, perfect_square_root, signed_divisors
 
 __all__ = [
     "CandidateZ",
@@ -133,14 +139,16 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     the only values any solution coordinate can take in a non-degenerate
     system.  So there are none unless 3 | d0, and otherwise k = s - z runs
     over the signed divisors of d0/3; walking them in descending order
-    yields z ascending.
+    yields z ascending.  The list holds every admissible pivot, including
+    those outside |s^2 - z^2| <= 4|d0/3| that solve() skips because they
+    cannot have roots.
     """
-    if system.degenerate:
+    d0 = system.d0
+    if d0 == 0:
         raise ValueError(
             f"system (s={system.s}, c={system.c}) is degenerate (c = s^3); "
             f"solve() handles this case"
         )
-    d0 = system.d0
     if d0 % 3 != 0:
         return []
     reduced = d0 // 3
@@ -150,10 +158,9 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     ]
 
 
-def _pivot_outcome(candidate: CandidateZ, s: int) -> tuple[int, int, list[int]]:
+def _pivot_outcome(s: int, z: int, k: int, d: int) -> tuple[int, int, list[int]]:
     """Constant s*z + d, discriminant, and ascending integer roots of X^2 - k*X - (s*z + d) = 0."""
-    k = candidate.k
-    constant = s * candidate.z + candidate.d
+    constant = s * z + d
     discriminant = k * k + 4 * constant
     root = perfect_square_root(discriminant)
     if root is None:
@@ -166,7 +173,7 @@ def _pivot_outcome(candidate: CandidateZ, s: int) -> tuple[int, int, list[int]]:
 def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[int]:
     """Integer roots of X^2 - k*X - (s*z + d) = 0, sorted ascending; empty
     when the discriminant k^2 + 4(s*z + d) is negative or not a square."""
-    return _pivot_outcome(candidate, system.s)[2]
+    return _pivot_outcome(system.s, candidate.z, candidate.k, candidate.d)[2]
 
 
 def _fold(s: int, pivots: Iterable[tuple[int, list[int]]]) -> SolutionSet:
@@ -185,9 +192,10 @@ def completeness_bound(system: TripleSystem) -> int:
     |z| <= |s| + |d0|/3; the max(1, ...) keeps the bound positive for
     tiny d0.  Used to make brute-force comparisons exhaustive.
     """
-    if system.degenerate:
+    d0 = system.d0
+    if d0 == 0:
         raise ValueError("degenerate system has no finite completeness bound")
-    return abs(system.s) + max(1, abs(system.d0) // 3)
+    return abs(system.s) + max(1, abs(d0) // 3)
 
 
 def solve(system: TripleSystem) -> SolutionSet:
@@ -195,10 +203,21 @@ def solve(system: TripleSystem) -> SolutionSet:
 
     Degenerate systems (c = s^3) return the symbolic infinite family.
     Otherwise the finite set is assembled by running the quadratic at every
-    admissible pivot and closing under the 6 coordinate permutations; the
-    result is duplicate-free and sorted lexicographically.
+    admissible pivot that can have roots and closing under the 6 coordinate
+    permutations; the result is duplicate-free and sorted lexicographically.
+    A pivot z = s - k can have roots only when |s^2 - z^2| <= 4|d0/3| (see
+    the module docstring), so only the divisors k of d0/3 with
+    |s - k| <= isqrt(s^2 + 4|d0/3|) are tested: one contiguous slice of
+    the ascending divisor list.
     """
-    if system.degenerate:
-        return SolutionSet.infinite_family(system.s)
     s = system.s
-    return _fold(s, ((c.z, _pivot_outcome(c, s)[2]) for c in candidate_zs(system)))
+    d0 = system.d0
+    if d0 == 0:
+        return SolutionSet.infinite_family(s)
+    if d0 % 3 != 0:
+        return SolutionSet.finite(())
+    reduced = d0 // 3
+    divisors = signed_divisors(reduced)
+    reach = isqrt(s * s + 4 * abs(reduced))
+    window = divisors[bisect_left(divisors, s - reach) : bisect_right(divisors, s + reach)]
+    return _fold(s, ((s - k, _pivot_outcome(s, s - k, k, reduced // k)[2]) for k in window))

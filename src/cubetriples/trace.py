@@ -185,7 +185,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
 
     pivots = []
     for cand in candidates:
-        constant, discriminant, roots = _pivot_outcome(cand, s)
+        constant, discriminant, roots = _pivot_outcome(s, cand.z, cand.k, cand.d)
         pivots.append((cand.z, roots))
         if roots:
             triples = ", ".join(

@@ -268,6 +268,23 @@ def test_numpy_not_loaded_outside_oracle():
     assert "numpy" not in solved.stderr
 
 
+def test_process_pool_not_loaded_outside_parallel_scan():
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    probe = f"import sys, cubetriples; print([m for m in {pool_modules!r} if m in sys.modules])"
+    imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert imported.stdout == "[]\n"
+    # -X importtime ends each line with the imported module's name
+    solved = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cubetriples", "solve", "--sum", "3", "--cubes", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert solved.returncode == 0
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in solved.stderr.splitlines()}
+    assert "cubetriples.cli" in loaded
+    assert not loaded & set(pool_modules)
+
+
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubetriples.oracle import brute_force
@@ -13,6 +13,7 @@ from cubetriples.solver import (
     SolutionSet,
     Triple,
     TripleSystem,
+    _fold,
     candidate_zs,
     completeness_bound,
     solve,
@@ -33,6 +34,14 @@ small_systems = st.builds(
     TripleSystem,
     st.integers(min_value=-10, max_value=10),
     st.integers(min_value=-40, max_value=40),
+)
+
+# d0 = 3m with m != 0 of either sign; for |s| large against |m| the pivot
+# window |s^2 - z^2| <= 4|m| excludes an inner band of z as well
+window_systems = st.builds(
+    lambda s, m: TripleSystem(s, s**3 + 3 * m),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-300, max_value=300).filter(bool),
 )
 
 
@@ -108,6 +117,15 @@ class TestSolveQuadraticForX:
             roots = solve_quadratic_for_x(cand, system)
             assert roots == _quadratic_roots_by_scan(cand, system)
 
+    @given(window_systems)
+    @example(TripleSystem(20, 20**3 + 15))
+    @example(TripleSystem(-20, -(20**3) - 15))
+    def test_no_roots_outside_pivot_window(self, system):
+        limit = 4 * abs(system.d0 // 3)
+        for cand in candidate_zs(system):
+            if abs(system.s**2 - cand.z**2) > limit:
+                assert solve_quadratic_for_x(cand, system) == []
+
 
 class TestCompletenessBound:
     @pytest.mark.parametrize(
@@ -173,6 +191,17 @@ class TestSolve:
         # d0 = 1000003 * 1000033: both primes lie above the trial limit, so
         # factoring d0 would fail, but d0 = 1 (mod 3) admits no pivot at all
         assert solve(TripleSystem(0, 1000036000099)) == SolutionSet.finite(())
+
+    def test_window_matches_fold_over_every_pivot(self):
+        for s in range(-30, 31):
+            for c in range(-600, 601):
+                system = TripleSystem(s, c)
+                if system.degenerate:
+                    continue
+                every_pivot = _fold(
+                    s, ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system))
+                )
+                assert solve(system).to_json_dict() == every_pivot.to_json_dict(), (s, c)
 
     def test_deterministic_output(self):
         a = solve(SYS33)
