@@ -153,12 +153,32 @@ def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> Factorization:
     return Factorization(sign=sign, factors=tuple(factors))
 
 
-def signed_divisors(n: int) -> list[int]:
-    """Every integer d (negative and positive) with d | n, sorted ascending."""
+def _divisors_up_to(n: int, limit: int) -> list[int]:
+    """The positive divisors of n that are <= limit, in no particular order.
+
+    n is factored in full even when limit < 1, so an incomplete
+    factorization raises whatever the limit.  Each prime power multiplies
+    into the products built so far, and a product above the limit is
+    dropped together with every multiple the remaining primes would make
+    of it: multiplying only makes a positive product larger.
+    """
     if n == 0:
         raise ValueError("0 has no divisor set")
-    positives = [1]
-    for prime, exponent in factorize(n).factors:
-        positives = [d * prime**i for d in positives for i in range(exponent + 1)]
+    factors = factorize(n).factors
+    if limit < 1:
+        return []
+    divisors = [1]
+    for prime, exponent in factors:
+        bound = limit // prime  # d * prime <= limit exactly when d <= bound
+        grown = divisors
+        for _ in range(exponent):
+            grown = [d * prime for d in grown if d <= bound]
+            divisors += grown
+    return divisors
+
+
+def signed_divisors(n: int) -> list[int]:
+    """Every integer d (negative and positive) with d | n, sorted ascending."""
+    positives = _divisors_up_to(n, abs(n))
     positives.sort()
     return [-d for d in reversed(positives)] + positives

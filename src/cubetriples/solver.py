@@ -23,11 +23,11 @@ D = (k - 2s)^2 + 4d = a^2 + 4d with a = -(s + Z); if D = b^2 then
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from .intmath import isqrt, perfect_square_root, signed_divisors
+from .intmath import _divisors_up_to, signed_divisors
 
 __all__ = [
     "CandidateZ",
@@ -158,25 +158,41 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     ]
 
 
-def _pivot_outcome(s: int, z: int, k: int, d: int) -> tuple[int, int, list[int]]:
-    """Constant s*z + d, discriminant, and ascending integer roots of X^2 - k*X - (s*z + d) = 0."""
-    constant = s * z + d
-    discriminant = k * k + 4 * constant
-    root = perfect_square_root(discriminant)
-    if root is None:
-        return constant, discriminant, []
-    # discriminant = k^2 (mod 4), so root = k (mod 2) and both roots are integers
-    roots = [(k - root) // 2, (k + root) // 2] if root else [k // 2]
-    return constant, discriminant, roots
+def _pivot_pass(
+    s: int, reduced: int, ks: Iterable[int]
+) -> Iterator[tuple[int, int, int, int, tuple[int, ...]]]:
+    """Each pivot's (z, k, constant, discriminant, roots), in the order of ks.
+
+    k runs over divisors of reduced = d0/3, z = s - k, and the quadratic is
+    X^2 - k*X - constant = 0 with constant = s*z + d0/(3k); roots are its
+    ascending integer roots, empty when the discriminant k^2 + 4*constant
+    is negative or not a square.  This is the one place the discriminant is
+    computed.
+    """
+    for k in ks:
+        z = s - k
+        constant = s * z + reduced // k
+        discriminant = k * k + 4 * constant
+        root = math.isqrt(discriminant) if discriminant >= 0 else -1
+        if root * root != discriminant:
+            roots = ()
+        elif root:
+            # discriminant = k^2 (mod 4), so root = k (mod 2) and both roots are integers
+            roots = ((k - root) // 2, (k + root) // 2)
+        else:
+            roots = (k // 2,)
+        yield z, k, constant, discriminant, roots
 
 
 def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[int]:
     """Integer roots of X^2 - k*X - (s*z + d) = 0, sorted ascending; empty
-    when the discriminant k^2 + 4(s*z + d) is negative or not a square."""
-    return _pivot_outcome(system.s, candidate.z, candidate.k, candidate.d)[2]
+    when the discriminant k^2 + 4(s*z + d) is negative or not a square.
+    The candidate is one of candidate_zs(system), so k*d = d0/3."""
+    k = candidate.k
+    return list(next(_pivot_pass(system.s, k * candidate.d, (k,)))[4])
 
 
-def _fold(s: int, pivots: Iterable[tuple[int, list[int]]]) -> SolutionSet:
+def _fold(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> SolutionSet:
     """The sorted, permutation-closed finite set of every (x, s - z - x, z)."""
     found: set[tuple[int, int, int]] = set()
     for z, roots in pivots:
@@ -207,8 +223,10 @@ def solve(system: TripleSystem) -> SolutionSet:
     permutations; the result is duplicate-free and sorted lexicographically.
     A pivot z = s - k can have roots only when |s^2 - z^2| <= 4|d0/3| (see
     the module docstring), so only the divisors k of d0/3 with
-    |s - k| <= isqrt(s^2 + 4|d0/3|) are tested: one contiguous slice of
-    the ascending divisor list.
+    |s - k| <= R = isqrt(s^2 + 4|d0/3|) are tested.  R >= |s|, so that
+    window holds 0 and every k in it has |k| <= R + |s|: the positive
+    divisors up to R + |s| are generated, unordered, and each is tested as
+    k = d and k = -d when inside the window.
     """
     s = system.s
     d0 = system.d0
@@ -217,7 +235,8 @@ def solve(system: TripleSystem) -> SolutionSet:
     if d0 % 3 != 0:
         return SolutionSet.finite(())
     reduced = d0 // 3
-    divisors = signed_divisors(reduced)
-    reach = isqrt(s * s + 4 * abs(reduced))
-    window = divisors[bisect_left(divisors, s - reach) : bisect_right(divisors, s + reach)]
-    return _fold(s, ((s - k, _pivot_outcome(s, s - k, k, reduced // k)[2]) for k in window))
+    reach = math.isqrt(s * s + 4 * abs(reduced))
+    low, high = s - reach, s + reach
+    divisors = _divisors_up_to(reduced, reach + abs(s))
+    ks = [d for d in divisors if d <= high] + [-d for d in divisors if -d >= low]
+    return _fold(s, ((z, roots) for z, _, _, _, roots in _pivot_pass(s, reduced, ks) if roots))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .solver import SolutionSet, Triple, TripleSystem, _fold, _pivot_outcome, candidate_zs
+from .solver import SolutionSet, Triple, TripleSystem, _fold, _pivot_pass, candidate_zs
 
 __all__ = [
     "RENDER_FORMATS",
@@ -158,13 +158,17 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         return steps
 
-    if d0 % 3 == 0:
-        reduced = d0 // 3
+    reduced, remainder = divmod(d0, 3)
+    if remainder == 0:
         add(
             "divisibility",
-            f"({_z_minus_s(s)}) | {abs(reduced)}",
+            f"{_z_minus_s_coefficient(s)} | {abs(reduced)}",
             "The left side of the quadratic is an integer for integer X, so "
             "the remainder must be an integer as well.",
+        )
+        candidates_note = (
+            "Each admissible pivot value comes from one signed divisor of "
+            f"{d0} that is a multiple of 3."
         )
     else:
         add(
@@ -173,37 +177,29 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             f"3({_s_minus_z(s)}) is a multiple of 3 but {d0} is not, so no "
             "integer Z is admissible.",
         )
+        candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
 
     candidates = candidate_zs(system)
     candidate_list = ", ".join(str(cand.z) for cand in candidates)
-    add(
-        "candidates",
-        f"Z in {{{candidate_list}}}",
-        "Each admissible pivot value comes from one signed divisor of "
-        f"{d0} that is a multiple of 3.",
-    )
+    add("candidates", f"Z in {{{candidate_list}}}", candidates_note)
 
-    pivots = []
-    for cand in candidates:
-        constant, discriminant, roots = _pivot_outcome(s, cand.z, cand.k, cand.d)
-        pivots.append((cand.z, roots))
+    pivots = list(_pivot_pass(s, reduced, (cand.k for cand in candidates)))
+    for z, k, constant, discriminant, roots in pivots:
         if roots:
-            triples = ", ".join(
-                format_triple(Triple(x, s - cand.z - x, cand.z)) for x in roots
-            )
+            triples = ", ".join(format_triple(Triple(x, s - z - x, z)) for x in roots)
             if len(roots) == 1:
                 note = f"Discriminant {discriminant} gives the double root X = {roots[0]}; triple {triples}."
             else:
                 note = f"Discriminant {discriminant} gives X = {roots[0]} or X = {roots[1]}; triples {triples}."
         elif discriminant < 0:
-            note = f"Discriminant {discriminant} is negative, so Z = {cand.z} is rejected."
+            note = f"Discriminant {discriminant} is negative, so Z = {z} is rejected."
         else:
-            note = f"Discriminant {discriminant} is not a perfect square, so Z = {cand.z} is rejected."
-        add(f"candidate Z = {cand.z}", _quadratic_text(cand.k, constant), note)
+            note = f"Discriminant {discriminant} is not a perfect square, so Z = {z} is rejected."
+        add(f"candidate Z = {z}", _quadratic_text(k, constant), note)
 
     add(
         "solutions",
-        format_solution_set(_fold(s, pivots)),
+        format_solution_set(_fold(s, ((z, roots) for z, _, _, _, roots in pivots))),
         "Union of the surviving triples, closed under all 6 coordinate "
         "permutations and sorted.",
     )

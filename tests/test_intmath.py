@@ -1,12 +1,15 @@
 """Tests for the exact integer utilities."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubetriples.intmath import (
     Factorization,
     IncompleteFactorizationError,
+    _divisors_up_to,
     factorize,
     isqrt,
     perfect_square_root,
@@ -150,3 +153,53 @@ class TestSignedDivisors:
         for _, e in factorize(n).factors:
             tau *= e + 1
         assert len(signed_divisors(n)) == 2 * tau
+
+
+# nonzero n of either sign built from prime powers, exponents up to 4
+powered_integers = st.builds(
+    lambda sign, exponents: sign * math.prod(p**e for p, e in zip((2, 3, 5, 7, 11, 13), exponents)),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6),
+)
+
+
+@st.composite
+def divisor_limits(draw):
+    """(n, limit) with limit below 1, exactly 1, strictly between 1 and |n|,
+    or at least |n|."""
+    n = draw(powered_integers)
+    m = abs(n)
+    limit = draw(
+        st.one_of(
+            st.integers(max_value=0),
+            st.just(1),
+            st.integers(min_value=2, max_value=max(2, m - 1)),
+            st.integers(min_value=m, max_value=3 * m),
+        )
+    )
+    return n, limit
+
+
+class TestDivisorsUpTo:
+    @given(divisor_limits())
+    @example((2**4 * 3**3 * 5**2, 100))
+    @example((-(2**4) * 3**3 * 5**2, 2**4 * 3**3 * 5**2))
+    @example((-720, 1))
+    @example((1, 0))
+    @example((1, 1))
+    def test_matches_filtered_signed_divisors(self, case):
+        n, limit = case
+        expected = [d for d in signed_divisors(n) if 0 < d <= limit]
+        assert sorted(_divisors_up_to(n, limit)) == expected
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            _divisors_up_to(0, 10)
+
+    def test_factors_in_full_below_every_limit(self):
+        # both primes lie above the trial limit; an empty result must not
+        # skip the factorization that proves it complete
+        n = 1000003 * 1000033
+        with pytest.raises(IncompleteFactorizationError) as excinfo:
+            _divisors_up_to(n, 0)
+        assert excinfo.value.cofactor == n

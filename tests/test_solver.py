@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubetriples.intmath import IncompleteFactorizationError
 from cubetriples.oracle import brute_force
 from cubetriples.solver import (
     CandidateZ,
@@ -42,6 +43,20 @@ window_systems = st.builds(
     lambda s, m: TripleSystem(s, s**3 + 3 * m),
     st.integers(min_value=-60, max_value=60),
     st.integers(min_value=-300, max_value=300).filter(bool),
+)
+
+# d0 = +-3 * (product of 6-11 distinct primes <= 47): far more divisors of
+# d0/3 lie above the solver's divisor limit than in a small-|d0| sweep
+smooth_systems = st.builds(
+    lambda s, sign, primes: TripleSystem(s, s**3 + sign * 3 * math.prod(primes)),
+    st.integers(min_value=-50, max_value=50),
+    st.sampled_from((1, -1)),
+    st.lists(
+        st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)),
+        min_size=6,
+        max_size=11,
+        unique=True,
+    ),
 )
 
 
@@ -202,6 +217,21 @@ class TestSolve:
                     s, ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system))
                 )
                 assert solve(system).to_json_dict() == every_pivot.to_json_dict(), (s, c)
+
+    @settings(deadline=None)
+    @given(smooth_systems)
+    def test_smooth_d0_matches_fold_over_every_pivot(self, system):
+        every_pivot = _fold(
+            system.s,
+            ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+        )
+        assert solve(system).to_json_dict() == every_pivot.to_json_dict()
+
+    def test_incomplete_factorization_raises(self):
+        # d0/3 = 1000003 * 1000033; both primes lie just above the trial limit
+        with pytest.raises(IncompleteFactorizationError) as excinfo:
+            solve(TripleSystem(0, 3000108000297))
+        assert excinfo.value.cofactor == 1000003 * 1000033
 
     def test_deterministic_output(self):
         a = solve(SYS33)
