@@ -1,22 +1,28 @@
 """Batch sweep of a rectangular (s, c) grid.
 
-Every grid point is classified independently (solver calls are pure), so
-points may be evaluated by any number of worker processes; results are
-re-sequenced into (s, c) ascending order before emission, making the
-output stream identical regardless of worker count.
+Every grid point is classified independently (solver calls are pure).  One
+row worker, _row, classifies the points of one row of fixed s on plain ints.
+With one worker scan_grid yields its records one at a time.  With more, the
+grid is cut into row spans of at most SPAN_POINTS points, at most
+TASKS_PER_WORKER spans per worker are in flight at once, and the spans'
+records are yielded in submission order.  Either way the stream is in (s, c)
+ascending order and identical at every worker count.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Iterator
 
-from .solver import Triple, TripleSystem, completeness_bound, solve
+from .solver import Triple, _bound, _solve_finite
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
+
+# Most points one pool task classifies; a task never spans two rows.
+SPAN_POINTS = 512
+# Pool tasks submitted but not yet yielded, per worker process.
+TASKS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -43,24 +49,39 @@ class ScanRecord:
 
 
 def record_to_json(record: ScanRecord) -> str:
-    return json.dumps(record.to_json_dict(), separators=(",", ":"))
+    """The record as compact JSON: json.dumps(record.to_json_dict(),
+    separators=(",", ":")) byte for byte, for a kind that needs no escaping
+    ("finite" or "infinite_family")."""
+    line = f'{{"s":{record.s},"c":{record.c},"kind":"{record.kind}"'
+    if record.solution_count is not None:
+        line += f',"solution_count":{record.solution_count}'
+    solutions = record.solutions
+    if solutions is not None:
+        # most points have none, and skipping the join for them is cheaper
+        triples = ",".join([f"[{t.x},{t.y},{t.z}]" for t in solutions]) if solutions else ""
+        line += f',"solutions":[{triples}]'
+    if record.bound_used is not None:
+        line += f',"bound_used":{record.bound_used}'
+    return line + "}"
 
 
-def _classify(point: tuple[int, int], include_solutions: bool) -> ScanRecord:
-    s, c = point
-    system = TripleSystem(s, c)
-    result = solve(system)
-    if result.kind == "infinite_family":
-        return ScanRecord(s=s, c=c, kind="infinite_family")
-    assert result.triples is not None
-    return ScanRecord(
-        s=s,
-        c=c,
-        kind="finite",
-        solution_count=len(result.triples),
-        solutions=result.triples if include_solutions else None,
-        bound_used=completeness_bound(system),
-    )
+def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[ScanRecord]:
+    """The records of the points (s, c_lo) .. (s, c_hi), in c order."""
+    s3 = s**3
+    for c in range(c_lo, c_hi + 1):
+        d0 = c - s3
+        if d0 == 0:
+            yield ScanRecord(s, c, "infinite_family")
+            continue
+        triples = _solve_finite(s, d0)
+        yield ScanRecord(
+            s, c, "finite", len(triples), triples if include_solutions else None, _bound(s, d0)
+        )
+
+
+def _span(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> list[ScanRecord]:
+    """One pool task: the records of one row span."""
+    return list(_row(s, c_lo, c_hi, include_solutions))
 
 
 def scan_grid(
@@ -79,15 +100,24 @@ def scan_grid(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    points = itertools.product(range(s_min, s_max + 1), range(c_min, c_max + 1))
-    classify = partial(_classify, include_solutions=include_solutions)
     if workers == 1:
-        yield from map(classify, points)
+        for s in range(s_min, s_max + 1):
+            yield from _row(s, c_min, c_max, include_solutions)
         return
     # imported here so that importing the package never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    point_list = list(points)
-    chunksize = max(1, len(point_list) // (workers * 8))
+    spans = (
+        (s, lo, min(lo + SPAN_POINTS - 1, c_max))
+        for s in range(s_min, s_max + 1)
+        for lo in range(c_min, c_max + 1, SPAN_POINTS)
+    )
+    in_flight = TASKS_PER_WORKER * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(classify, point_list, chunksize=chunksize)
+        pending: deque = deque()
+        for span in spans:
+            pending.append(pool.submit(_span, *span, include_solutions))
+            if len(pending) == in_flight:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()

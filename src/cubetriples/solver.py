@@ -14,10 +14,11 @@ discriminant yields every solution.  The degenerate case c = s^3 (d0 = 0) makes 
 factor as (X - s)(X + Z) = 0 for every pivot, producing the infinite family
 of permutations of (s, t, -t).
 
-Only pivots with |s^2 - Z^2| <= 4|d0/3| can have roots.  The discriminant is
-D = (k - 2s)^2 + 4d = a^2 + 4d with a = -(s + Z); if D = b^2 then
-4|d| = |b - |a||*(b + |a|) >= |a| because d != 0, and multiplying by
-|k| = |s - Z| gives |s + Z|*|s - Z| <= 4|d0/3|.
+Only pivots with |s^2 - Z^2| <= 2|d0/3| can have roots.  The discriminant is
+D = (k - 2s)^2 + 4d = a^2 + 4d with a = -(s + Z); if D = b^2 with b >= 0
+then 4d = (b - |a|)*(b + |a|).  b^2 = a^2 (mod 4) gives b = a (mod 2), and
+d != 0 gives b != |a|, so |b - |a|| >= 2 and 4|d| >= 2*(b + |a|) >= 2|a|.
+Multiplying 2|d| >= |s + Z| by |k| = |s - Z| gives |s^2 - Z^2| <= 2|d0/3|.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     system.  So there are none unless 3 | d0, and otherwise k = s - z runs
     over the signed divisors of d0/3; walking them in descending order
     yields z ascending.  The list holds every admissible pivot, including
-    those outside |s^2 - z^2| <= 4|d0/3| that solve() skips because they
-    cannot have roots.
+    those outside |s^2 - z^2| <= 2|d0/3| that solve() skips because they
+    cannot have roots (a square discriminant b^2 = a^2 + 4d has b = a
+    (mod 2), so 4|d| >= 2|a| with a = -(s + z); see the module docstring).
     """
     d0 = system.d0
     if d0 == 0:
@@ -192,13 +194,23 @@ def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[i
     return list(next(_pivot_pass(system.s, k * candidate.d, (k,)))[4])
 
 
-def _fold(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> SolutionSet:
-    """The sorted, permutation-closed finite set of every (x, s - z - x, z)."""
+def _closure(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> tuple[Triple, ...]:
+    """Every (x, s - z - x, z) closed under permutations and sorted."""
     found: set[tuple[int, int, int]] = set()
     for z, roots in pivots:
         for x in roots:
             found.update(itertools.permutations((x, s - z - x, z)))
-    return SolutionSet.finite(tuple(Triple(*t) for t in sorted(found)))
+    return tuple(Triple(*t) for t in sorted(found))
+
+
+def _fold(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> SolutionSet:
+    """The sorted, permutation-closed finite set of every (x, s - z - x, z)."""
+    return SolutionSet.finite(_closure(s, pivots))
+
+
+def _bound(s: int, d0: int) -> int:
+    """completeness_bound of the system with sum s and d0 = c - s^3 != 0."""
+    return abs(s) + max(1, abs(d0) // 3)
 
 
 def completeness_bound(system: TripleSystem) -> int:
@@ -211,7 +223,26 @@ def completeness_bound(system: TripleSystem) -> int:
     d0 = system.d0
     if d0 == 0:
         raise ValueError("degenerate system has no finite completeness bound")
-    return abs(system.s) + max(1, abs(d0) // 3)
+    return _bound(system.s, d0)
+
+
+def _window(s: int, reduced: int) -> list[int]:
+    """The divisors k of reduced = d0/3 with |s - k| <= isqrt(s^2 + 2|reduced|),
+    unordered: every pivot k = s - z that can have roots (see solve())."""
+    reach = math.isqrt(s * s + 2 * abs(reduced))
+    low, high = s - reach, s + reach
+    divisors = _divisors_up_to(reduced, reach + abs(s))
+    return [d for d in divisors if d <= high] + [-d for d in divisors if -d >= low]
+
+
+def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
+    """The sorted solution triples of the system with sum s and
+    d0 = c - s^3 != 0; see solve() for the method."""
+    if d0 % 3 != 0:
+        return ()
+    reduced = d0 // 3
+    pivots = _pivot_pass(s, reduced, _window(s, reduced))
+    return _closure(s, ((z, roots) for z, _, _, _, roots in pivots if roots))
 
 
 def solve(system: TripleSystem) -> SolutionSet:
@@ -221,22 +252,16 @@ def solve(system: TripleSystem) -> SolutionSet:
     Otherwise the finite set is assembled by running the quadratic at every
     admissible pivot that can have roots and closing under the 6 coordinate
     permutations; the result is duplicate-free and sorted lexicographically.
-    A pivot z = s - k can have roots only when |s^2 - z^2| <= 4|d0/3| (see
-    the module docstring), so only the divisors k of d0/3 with
-    |s - k| <= R = isqrt(s^2 + 4|d0/3|) are tested.  R >= |s|, so that
+    There are no admissible pivots unless 3 | d0.  A pivot z = s - k can
+    have roots only when |s^2 - z^2| <= 2|d0/3|: a square discriminant
+    b^2 = a^2 + 4d has b = a (mod 2), so 4|d| >= 2|a| (see the module
+    docstring).  So only the divisors k of d0/3 with
+    |s - k| <= R = isqrt(s^2 + 2|d0/3|) are tested.  R >= |s|, so that
     window holds 0 and every k in it has |k| <= R + |s|: the positive
     divisors up to R + |s| are generated, unordered, and each is tested as
     k = d and k = -d when inside the window.
     """
-    s = system.s
     d0 = system.d0
     if d0 == 0:
-        return SolutionSet.infinite_family(s)
-    if d0 % 3 != 0:
-        return SolutionSet.finite(())
-    reduced = d0 // 3
-    reach = math.isqrt(s * s + 4 * abs(reduced))
-    low, high = s - reach, s + reach
-    divisors = _divisors_up_to(reduced, reach + abs(s))
-    ks = [d for d in divisors if d <= high] + [-d for d in divisors if -d >= low]
-    return _fold(s, ((z, roots) for z, _, _, _, roots in _pivot_pass(s, reduced, ks) if roots))
+        return SolutionSet.infinite_family(system.s)
+    return SolutionSet.finite(_solve_finite(system.s, d0))

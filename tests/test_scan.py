@@ -1,12 +1,34 @@
 """Tests for the grid scanner."""
 
+import concurrent.futures
+import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cubetriples import scan
 from cubetriples.oracle import brute_force
 from cubetriples.scan import ScanRecord, record_to_json, scan_grid
-from cubetriples.solver import TripleSystem, verify
+from cubetriples.solver import Triple, TripleSystem, verify
+
+# SHA-256 of the reference grid s in [-50, 50], c in [-200, 200] scanned
+# with solutions, one record_to_json line per point
+REFERENCE_GRID_SHA256 = "87ed222a9419d3de21353035fdae4b659631ea17f90f3a52cfdf2ddaf0855ff6"
+
+# up to multi-hundred-digit ints of either sign
+big_ints = st.integers(min_value=-(10**300), max_value=10**300)
+
+records = st.builds(
+    ScanRecord,
+    s=big_ints,
+    c=big_ints,
+    kind=st.sampled_from(("finite", "infinite_family")),
+    solution_count=st.none() | big_ints,
+    solutions=st.none() | st.lists(st.builds(Triple, big_ints, big_ints, big_ints), max_size=4).map(tuple),
+    bound_used=st.none() | big_ints,
+)
 
 
 def test_single_point_known_instance():
@@ -90,3 +112,40 @@ def test_json_field_order_and_omission():
         record_to_json(list(scan_grid((3, 3), (3, 3), include_solutions=True))[0])
     )
     assert list(full) == ["s", "c", "kind", "solution_count", "solutions", "bound_used"]
+
+
+@given(records)
+def test_record_to_json_matches_json_dumps(record):
+    assert record_to_json(record) == json.dumps(record.to_json_dict(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reference_grid_bytes_pinned(workers):
+    lines = (
+        record_to_json(record) + "\n"
+        for record in scan_grid((-50, 50), (-200, 200), workers=workers, include_solutions=True)
+    )
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == REFERENCE_GRID_SHA256
+
+
+def test_parallel_scan_submits_a_bounded_number_of_tasks(monkeypatch):
+    # six records: row 0 in full and two points of row 1, so at most the
+    # in-flight bound plus row 0's task may have been submitted
+    limit = scan.TASKS_PER_WORKER * 2 + 1
+    submitted = []
+    submit = concurrent.futures.ProcessPoolExecutor.submit
+
+    def counting_submit(pool, *args, **kwargs):
+        submitted.append(args[1:])
+        # fail at once rather than after submitting all 10**6 rows
+        assert len(submitted) <= limit
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", counting_submit)
+    records = scan_grid((0, 10**6 - 1), (0, 3), workers=2)
+    first = [next(records) for _ in range(6)]
+    records.close()
+    assert [(r.s, r.c) for r in first] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]
+    # one task per row span, submitted in (s, c) order
+    assert submitted == [(s, 0, 3, False) for s in range(len(submitted))]

@@ -15,6 +15,7 @@ from cubetriples.solver import (
     Triple,
     TripleSystem,
     _fold,
+    _window,
     candidate_zs,
     completeness_bound,
     solve,
@@ -38,7 +39,7 @@ small_systems = st.builds(
 )
 
 # d0 = 3m with m != 0 of either sign; for |s| large against |m| the pivot
-# window |s^2 - z^2| <= 4|m| excludes an inner band of z as well
+# window |s^2 - z^2| <= 2|m| excludes an inner band of z as well
 window_systems = st.builds(
     lambda s, m: TripleSystem(s, s**3 + 3 * m),
     st.integers(min_value=-60, max_value=60),
@@ -136,10 +137,36 @@ class TestSolveQuadraticForX:
     @example(TripleSystem(20, 20**3 + 15))
     @example(TripleSystem(-20, -(20**3) - 15))
     def test_no_roots_outside_pivot_window(self, system):
-        limit = 4 * abs(system.d0 // 3)
+        limit = 2 * abs(system.d0 // 3)
         for cand in candidate_zs(system):
             if abs(system.s**2 - cand.z**2) > limit:
                 assert solve_quadratic_for_x(cand, system) == []
+
+    @given(window_systems)
+    def test_window_holds_every_rooted_pivot(self, system):
+        window = _window(system.s, system.d0 // 3)
+        assert len(window) == len(set(window))
+        for cand in candidate_zs(system):
+            if solve_quadratic_for_x(cand, system):
+                assert cand.k in window, cand
+
+    @pytest.mark.parametrize(
+        "s,c,k,edge",
+        [
+            (-18, -5940, 1, "s + R"),  # the upper end of the window
+            (-18, -5718, -38, "s - R"),  # the lower end, with |k| = R + |s|
+            (-27, -5745, -101, "|k| > R"),  # above R, below R + |s| = 127
+        ],
+    )
+    def test_rooted_pivot_on_window_edge(self, s, c, k, edge):
+        system = TripleSystem(s, c)
+        reach = math.isqrt(s * s + 2 * abs(system.d0 // 3))
+        assert {"s + R": k == s + reach, "s - R": k == s - reach, "|k| > R": abs(k) > reach}[edge]
+        (cand,) = [cand for cand in candidate_zs(system) if cand.k == k]
+        assert solve_quadratic_for_x(cand, system)
+        # the solution is also found through its other coordinates, so only
+        # the window itself shows whether an edge pivot is dropped
+        assert k in _window(s, system.d0 // 3)
 
 
 class TestCompletenessBound:
