@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubetriples import oracle
 from cubetriples.oracle import _sweep_numpy, _sweep_python, brute_force
 from cubetriples.solver import Triple, TripleSystem, completeness_bound, solve, verify
 
@@ -13,6 +14,27 @@ small_systems = st.builds(
     st.integers(min_value=-8, max_value=8),
 )
 bounds = st.integers(min_value=0, max_value=25)
+
+
+def _full_box(system, bound):
+    """Reference: every (x, y) of the box, z = s - x - y, no symmetry used."""
+    s, c = system.s, system.c
+    out = []
+    for x in range(-bound, bound + 1):
+        t = s - x
+        for y in range(max(-bound, t - bound), min(bound, t + bound) + 1):
+            z = t - y
+            if x**3 + y**3 + z**3 == c:
+                out.append(Triple(x, y, z))
+    return out
+
+
+@st.composite
+def reference_systems(draw):
+    # every residue of s mod 3, negative s, and the degenerate c = s^3
+    s = draw(st.integers(min_value=-10, max_value=10))
+    c = draw(st.one_of(st.integers(min_value=-60, max_value=60), st.just(s**3)))
+    return TripleSystem(s, c)
 
 
 def test_known_instance_box():
@@ -86,3 +108,43 @@ def test_degenerate_box_is_family_slice():
     expected = {Triple(1, t, -t) for t in range(-3, 4)}
     expected |= {p for t in expected for p in t.permutations()}
     assert set(triples) == {t for t in expected if max(map(abs, t.as_tuple())) <= 3}
+
+
+@pytest.mark.parametrize("sweep", [_sweep_numpy, _sweep_python, brute_force])
+@given(reference_systems(), bounds)
+def test_sorted_triangle_equals_full_box(sweep, system, bound):
+    assert sweep(system, bound) == _full_box(system, bound)
+
+
+@pytest.mark.parametrize("sweep", [_sweep_numpy, _sweep_python, brute_force])
+@pytest.mark.parametrize(
+    "s, c, bound, repeated",
+    [
+        (3, 3, 5, (1, 1, 1)),
+        (3, 3, 5, (-5, 4, 4)),
+        (0, 0, 1, (0, 0, 0)),
+        (-2, -2, 2, (-1, -1, 0)),
+        (-3, -3, 1, (-1, -1, -1)),
+    ],
+)
+def test_repeated_coordinates(sweep, s, c, bound, repeated):
+    # sorted representatives with y = x or z = y sit on the triangle's edges
+    triples = sweep(TripleSystem(s, c), bound)
+    assert Triple(*repeated) in triples
+    assert triples == _full_box(TripleSystem(s, c), bound)
+
+
+def _must_not_run(system, bound):
+    raise AssertionError("brute_force took the wrong backend")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int64_dispatch_boundary(monkeypatch, sign):
+    below = TripleSystem(sign * 5, sign * (2**62 - 1))
+    at = TripleSystem(sign * 5, sign * 2**62)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_sweep_python", _must_not_run)
+        assert brute_force(below, 3) == _full_box(below, 3)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_sweep_numpy", _must_not_run)
+        assert brute_force(at, 3) == _full_box(at, 3)
