@@ -9,6 +9,7 @@ from .intmath import (
     Factorization,
     IncompleteFactorizationError,
     factorize,
+    icbrt,
     isqrt,
     perfect_square_root,
     signed_divisors,
@@ -44,6 +45,7 @@ __all__ = [
     "completeness_bound",
     "derive_trace",
     "factorize",
+    "icbrt",
     "isqrt",
     "perfect_square_root",
     "render",

@@ -13,6 +13,7 @@ __all__ = [
     "Factorization",
     "IncompleteFactorizationError",
     "factorize",
+    "icbrt",
     "isqrt",
     "perfect_square_root",
     "signed_divisors",
@@ -102,6 +103,62 @@ def _miller_rabin_certified(n: int) -> bool | None:
     return True if n < _MR_PROVEN_BOUND else None
 
 
+def icbrt(n: int) -> int:
+    """Floor of the cube root: the r with r**3 <= n < (r+1)**3.
+
+    Newton's method on integers: from any start above the cube root, each
+    step x -> (2x + n // x^2) // 3 stays at or above floor(cbrt(n)) (the
+    arithmetic mean of x, x and n/x^2 is at least their geometric mean) and
+    strictly decreases while x exceeds it, so the first step that does not
+    decrease has found it.
+    """
+    if n < 0:
+        raise ValueError(f"icbrt of negative integer {n}")
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > cbrt(n)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _trial_divide(m: int, stop: int) -> tuple[list[tuple[int, int]], int, bool]:
+    """Trial division of m > 0 by 2, 3 and then the numbers 6j +- 1, ascending,
+    up to stop or until p*p exceeds what is left of m.
+
+    Returns (factors, cofactor, whole): the (prime, exponent) pairs divided
+    out, sorted by prime, and the cofactor left.  whole is True when p*p
+    passed the cofactor, so the cofactor is 1 or prime; otherwise trial
+    division passed stop and every prime factor of the cofactor exceeds it.
+    """
+    factors: list[tuple[int, int]] = []
+
+    def peel(p: int) -> None:
+        nonlocal m
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
+
+    if m % 2 == 0:
+        peel(2)
+    if m % 3 == 0:
+        peel(3)
+    p = 5
+    while p * p <= m:
+        if p > stop:
+            return factors, m, False
+        if m % p == 0:
+            peel(p)
+        if m % (p + 2) == 0:
+            peel(p + 2)
+        p += 6
+    return factors, m, True
+
+
 def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> Factorization:
     """Complete prime factorization of a nonzero integer, sign recorded.
 
@@ -113,60 +170,38 @@ def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> Factorization:
         raise ValueError("cannot factorize 0")
     if trial_limit < 1:
         raise ValueError(f"trial_limit must be positive, got {trial_limit}")
-
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    factors: list[tuple[int, int]] = []
-
-    def peel(p: int) -> None:
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-
-    peel(2)
-    peel(3)
-    p = 5
-    exhausted = False
-    while True:
-        if p * p > m:
-            exhausted = True
-            break
-        if p > trial_limit:
-            break
-        peel(p)
-        peel(p + 2)
-        p += 6
-
+    factors, m, whole = _trial_divide(abs(n), trial_limit)
     if m > 1:
-        if exhausted:
-            factors.append((m, 1))
-        else:
-            certified = _miller_rabin_certified(m)
-            if certified is not True:
-                raise IncompleteFactorizationError(n, m)
-            factors.append((m, 1))
-
-    return Factorization(sign=sign, factors=tuple(factors))
+        if not whole and _miller_rabin_certified(m) is not True:
+            raise IncompleteFactorizationError(n, m)
+        factors.append((m, 1))
+    return Factorization(sign=1 if n > 0 else -1, factors=tuple(factors))
 
 
 def _divisors_up_to(n: int, limit: int) -> list[int]:
-    """The positive divisors of n that are <= limit, in no particular order.
+    """Every positive divisor of n that is <= limit, proven complete, in no
+    particular order.
 
-    n is factored in full even when limit < 1, so an incomplete
-    factorization raises whatever the limit.  Each prime power multiplies
-    into the products built so far, and a product above the limit is
-    dropped together with every multiple the remaining primes would make
-    of it: multiplying only makes a positive product larger.
+    Every such divisor is a product of primes <= limit, so trial division
+    runs only up to min(limit, DEFAULT_TRIAL_LIMIT).  A cofactor left once
+    it has passed limit holds only primes above limit and is dropped
+    unfactored.  When limit is above the trial limit, n is factored in full
+    by factorize(), so IncompleteFactorizationError is raised unless the
+    cofactor left there is certified prime.  Each prime power then
+    multiplies into the products built so far, and a product above the
+    limit is dropped together with every multiple the remaining primes
+    would make of it: multiplying only makes a positive product larger.
     """
     if n == 0:
         raise ValueError("0 has no divisor set")
-    factors = factorize(n).factors
     if limit < 1:
         return []
+    if limit > DEFAULT_TRIAL_LIMIT:
+        factors = factorize(n).factors
+    else:
+        factors, m, whole = _trial_divide(abs(n), limit)
+        if whole and m > 1:
+            factors.append((m, 1))
     divisors = [1]
     for prime, exponent in factors:
         bound = limit // prime  # d * prime <= limit exactly when d <= bound

@@ -14,11 +14,12 @@ discriminant yields every solution.  The degenerate case c = s^3 (d0 = 0) makes 
 factor as (X - s)(X + Z) = 0 for every pivot, producing the infinite family
 of permutations of (s, t, -t).
 
-Only pivots with |s^2 - Z^2| <= 2|d0/3| can have roots.  The discriminant is
-D = (k - 2s)^2 + 4d = a^2 + 4d with a = -(s + Z); if D = b^2 with b >= 0
-then 4d = (b - |a|)*(b + |a|).  b^2 = a^2 (mod 4) gives b = a (mod 2), and
-d != 0 gives b != |a|, so |b - |a|| >= 2 and 4|d| >= 2*(b + |a|) >= 2|a|.
-Multiplying 2|d| >= |s + Z| by |k| = |s - Z| gives |s^2 - Z^2| <= 2|d0/3|.
+Only pivots with |k| <= icbrt(|d0/3|) need testing.  The identity
+(X + Y + Z)^3 - X^3 - Y^3 - Z^3 = 3(X + Y)(Y + Z)(Z + X) with X + Y = s - Z
+gives d0/3 = -(s - X)(s - Y)(s - Z) for every solution, three nonzero factors
+whose smallest, |s - W|, has |s - W|^3 <= |d0/3|.  So the pivot Z = W finds
+the solution, and closing under the coordinate permutations finds its every
+ordering.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .intmath import _divisors_up_to, signed_divisors
+from .intmath import _divisors_up_to, icbrt, signed_divisors
 
 __all__ = [
     "CandidateZ",
@@ -141,9 +142,8 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     system.  So there are none unless 3 | d0, and otherwise k = s - z runs
     over the signed divisors of d0/3; walking them in descending order
     yields z ascending.  The list holds every admissible pivot, including
-    those outside |s^2 - z^2| <= 2|d0/3| that solve() skips because they
-    cannot have roots (a square discriminant b^2 = a^2 + 4d has b = a
-    (mod 2), so 4|d| >= 2|a| with a = -(s + z); see the module docstring).
+    those with |k| > icbrt(|d0/3|) that solve() skips: every solution has a
+    coordinate z with |s - z|^3 <= |d0/3| (see the module docstring).
     """
     d0 = system.d0
     if d0 == 0:
@@ -226,22 +226,14 @@ def completeness_bound(system: TripleSystem) -> int:
     return _bound(system.s, d0)
 
 
-def _window(s: int, reduced: int) -> list[int]:
-    """The divisors k of reduced = d0/3 with |s - k| <= isqrt(s^2 + 2|reduced|),
-    unordered: every pivot k = s - z that can have roots (see solve())."""
-    reach = math.isqrt(s * s + 2 * abs(reduced))
-    low, high = s - reach, s + reach
-    divisors = _divisors_up_to(reduced, reach + abs(s))
-    return [d for d in divisors if d <= high] + [-d for d in divisors if -d >= low]
-
-
 def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
     """The sorted solution triples of the system with sum s and
     d0 = c - s^3 != 0; see solve() for the method."""
     if d0 % 3 != 0:
         return ()
     reduced = d0 // 3
-    pivots = _pivot_pass(s, reduced, _window(s, reduced))
+    divisors = _divisors_up_to(reduced, icbrt(abs(reduced)))
+    pivots = _pivot_pass(s, reduced, divisors + [-d for d in divisors])
     return _closure(s, ((z, roots) for z, _, _, _, roots in pivots if roots))
 
 
@@ -250,16 +242,15 @@ def solve(system: TripleSystem) -> SolutionSet:
 
     Degenerate systems (c = s^3) return the symbolic infinite family.
     Otherwise the finite set is assembled by running the quadratic at every
-    admissible pivot that can have roots and closing under the 6 coordinate
-    permutations; the result is duplicate-free and sorted lexicographically.
-    There are no admissible pivots unless 3 | d0.  A pivot z = s - k can
-    have roots only when |s^2 - z^2| <= 2|d0/3|: a square discriminant
-    b^2 = a^2 + 4d has b = a (mod 2), so 4|d| >= 2|a| (see the module
-    docstring).  So only the divisors k of d0/3 with
-    |s - k| <= R = isqrt(s^2 + 2|d0/3|) are tested.  R >= |s|, so that
-    window holds 0 and every k in it has |k| <= R + |s|: the positive
-    divisors up to R + |s| are generated, unordered, and each is tested as
-    k = d and k = -d when inside the window.
+    admissible pivot inside the cube-root cap and closing under the 6
+    coordinate permutations; the result is duplicate-free and sorted lexicographically.
+    There are no admissible pivots unless 3 | d0.  Every solution
+    satisfies d0/3 = -(s - x)(s - y)(s - z), so one of its coordinates z has
+    |s - z|^3 <= |d0/3| (see the module docstring): only the positive
+    divisors d <= L = icbrt(|d0/3|) are generated, unordered, each is tested
+    as k = d and k = -d, and the permutation closure restores the rest.
+    Trial division up to min(L, 10^6), and a certified-prime cofactor when
+    L is larger, proves that divisor list complete.
     """
     d0 = system.d0
     if d0 == 0:

@@ -11,8 +11,13 @@ from cubetriples.solver import SolutionSet, TripleSystem, solve
 
 
 # s = 0, c = 3 * 1000003 * 1000033: both primes lie just above the trial
-# limit, so d0 cannot be factored completely
+# limit, so d0 cannot be factored completely; solve needs only its divisors
+# up to the cube-root cap 10**4, but trace lists every divisor
 UNFACTORED_C = "3000108000297"
+# s = 0, c = 6 * 1000003 * 1000033 * 1000037: the cube-root cap of d0/3,
+# about 1.26e6, lies above the trial limit, and the cofactor left there is
+# composite, so solve cannot prove its divisor list complete either
+UNCERTIFIED_C = 6 * 1000003 * 1000033 * 1000037
 
 
 def run_cli(capsys, *argv):
@@ -59,8 +64,13 @@ class TestSolveCommand:
         assert code == 0
         assert out.strip() == "no solutions"
 
+    def test_cap_below_trial_limit_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--sum", "0", "--cubes", UNFACTORED_C)
+        assert code == 0
+        assert out.strip() == "no solutions"
+
     def test_incomplete_factorization_is_one_line(self, capsys):
-        code, out, err = run_cli(capsys, "solve", "--sum", "0", "--cubes", UNFACTORED_C)
+        code, out, err = run_cli(capsys, "solve", "--sum", "0", "--cubes", str(UNCERTIFIED_C))
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
@@ -227,11 +237,13 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_incomplete_factorization_leaves_no_output(self, capsys, tmp_path, jobs):
-        # the range holds c = UNFACTORED_C between points that do factor
+        # the range holds c = UNCERTIFIED_C after points that do factor, among
+        # them c - 6 and c - 3, whose caps also lie above the trial limit;
+        # it ends before c + 3, which fails as well
         out_file = tmp_path / "r.jsonl"
         code, _, err = run_cli(
             capsys, "scan", "--sum-range", "0:0",
-            "--cubes-range", "3000108000290:3000108000300",
+            "--cubes-range", f"{UNCERTIFIED_C - 7}:{UNCERTIFIED_C + 2}",
             "--out", str(out_file), "--jobs", jobs,
         )
         assert code == 1

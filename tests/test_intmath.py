@@ -1,6 +1,8 @@
 """Tests for the exact integer utilities."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from cubetriples.intmath import (
     IncompleteFactorizationError,
     _divisors_up_to,
     factorize,
+    icbrt,
     isqrt,
     perfect_square_root,
     signed_divisors,
@@ -41,6 +44,27 @@ class TestIsqrt:
         r = isqrt(n)
         assert r >= 0
         assert r * r <= n < (r + 1) * (r + 1)
+
+
+class TestIcbrt:
+    @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (7, 1), (8, 2), (26, 2), (27, 3)])
+    def test_examples(self, n, expected):
+        assert icbrt(n) == expected
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            icbrt(-1)
+
+    @given(st.integers(min_value=0, max_value=10**300))
+    def test_bracketing_property(self, n):
+        r = icbrt(n)
+        assert r >= 0
+        assert r**3 <= n < (r + 1) ** 3
+
+    @given(st.integers(min_value=1, max_value=10**100))
+    def test_exact_cubes_and_their_predecessors(self, k):
+        assert icbrt(k**3) == k
+        assert icbrt(k**3 - 1) == k - 1
 
 
 class TestPerfectSquareRoot:
@@ -180,6 +204,31 @@ def divisor_limits(draw):
     return n, limit
 
 
+def _next_prime(n: int) -> int:
+    while not _is_prime_by_trial(n):
+        n += 1
+    return n
+
+
+@st.composite
+def prime_times_smooth(draw):
+    """(n, q, divisors of n / q, limit): n = +-m*q with m a product of primes
+    <= 13, q a prime in (10^3, 10^6), and the limit below, at or above q."""
+    exponents = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6))
+    powers = [[p**e for e in range(k + 1)] for p, k in zip((2, 3, 5, 7, 11, 13), exponents)]
+    smooth_divisors = [math.prod(combo) for combo in itertools.product(*powers)]
+    q = _next_prime(draw(st.integers(min_value=1001, max_value=999_983)))
+    n = draw(st.sampled_from((1, -1))) * max(smooth_divisors) * q
+    limit = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=q - 1),
+            st.just(q),
+            st.integers(min_value=q + 1, max_value=2 * abs(n)),
+        )
+    )
+    return n, q, smooth_divisors, limit
+
+
 class TestDivisorsUpTo:
     @given(divisor_limits())
     @example((2**4 * 3**3 * 5**2, 100))
@@ -196,10 +245,31 @@ class TestDivisorsUpTo:
         with pytest.raises(ValueError):
             _divisors_up_to(0, 10)
 
-    def test_factors_in_full_below_every_limit(self):
-        # both primes lie above the trial limit; an empty result must not
-        # skip the factorization that proves it complete
+    def test_cofactor_above_the_limit_is_dropped(self):
+        # both primes lie above the trial limit, and above the limit too, so
+        # trial division to the limit proves 1 the only divisor up to it
+        assert _divisors_up_to(1000003 * 1000033, 10**4) == [1]
+
+    def test_composite_cofactor_below_the_limit_raises(self):
+        # the limit lies above the trial limit, so the cofactor left there
+        # must be certified prime, and it is composite
         n = 1000003 * 1000033
         with pytest.raises(IncompleteFactorizationError) as excinfo:
-            _divisors_up_to(n, 0)
+            _divisors_up_to(n, 1000033)
         assert excinfo.value.cofactor == n
+
+    @settings(max_examples=150)
+    @given(prime_times_smooth())
+    def test_prime_above_the_small_primes(self, case):
+        n, prime, smooth_divisors, limit = case
+        expected = sorted(d for d in smooth_divisors + [prime * e for e in smooth_divisors] if d <= limit)
+        assert sorted(_divisors_up_to(n, limit)) == expected
+
+    def test_matches_sympy_divisors(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randrange(1, 10**10)
+            limit = rng.choice((icbrt(n), rng.randrange(1, n + 1), n))
+            expected = [d for d in sympy.divisors(n) if d <= limit]
+            assert sorted(_divisors_up_to(rng.choice((n, -n)), limit)) == expected, (n, limit)

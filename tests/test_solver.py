@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubetriples.intmath import IncompleteFactorizationError
+from cubetriples.intmath import IncompleteFactorizationError, icbrt
 from cubetriples.oracle import brute_force
 from cubetriples.solver import (
     CandidateZ,
@@ -15,7 +15,6 @@ from cubetriples.solver import (
     Triple,
     TripleSystem,
     _fold,
-    _window,
     candidate_zs,
     completeness_bound,
     solve,
@@ -142,31 +141,24 @@ class TestSolveQuadraticForX:
             if abs(system.s**2 - cand.z**2) > limit:
                 assert solve_quadratic_for_x(cand, system) == []
 
-    @given(window_systems)
-    def test_window_holds_every_rooted_pivot(self, system):
-        window = _window(system.s, system.d0 // 3)
-        assert len(window) == len(set(window))
-        for cand in candidate_zs(system):
-            if solve_quadratic_for_x(cand, system):
-                assert cand.k in window, cand
+    @settings(deadline=None)
+    @given(st.one_of(window_systems, smooth_systems))
+    @example(SYS33)
+    def test_every_solution_has_a_pivot_inside_the_cap(self, system):
+        # the solutions come from every admissible pivot, not from solve()
+        cap = icbrt(abs(system.d0 // 3))
+        every_pivot = _fold(
+            system.s,
+            ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+        )
+        for triple in every_pivot.triples:
+            assert min(abs(system.s - w) for w in triple.as_tuple()) <= cap, triple
 
-    @pytest.mark.parametrize(
-        "s,c,k,edge",
-        [
-            (-18, -5940, 1, "s + R"),  # the upper end of the window
-            (-18, -5718, -38, "s - R"),  # the lower end, with |k| = R + |s|
-            (-27, -5745, -101, "|k| > R"),  # above R, below R + |s| = 127
-        ],
-    )
-    def test_rooted_pivot_on_window_edge(self, s, c, k, edge):
-        system = TripleSystem(s, c)
-        reach = math.isqrt(s * s + 2 * abs(system.d0 // 3))
-        assert {"s + R": k == s + reach, "s - R": k == s - reach, "|k| > R": abs(k) > reach}[edge]
-        (cand,) = [cand for cand in candidate_zs(system) if cand.k == k]
-        assert solve_quadratic_for_x(cand, system)
-        # the solution is also found through its other coordinates, so only
-        # the window itself shows whether an edge pivot is dropped
-        assert k in _window(s, system.d0 // 3)
+    def test_solution_whose_only_pivot_is_on_the_cap(self):
+        # d0/3 = -8: every coordinate of (1, 1, 1) has k = 3 - 1 = 2 = icbrt(8),
+        # so a cap one lower loses that solution
+        assert icbrt(abs(SYS33.d0 // 3)) == 2
+        assert Triple(1, 1, 1) in solve(SYS33).triples
 
 
 class TestCompletenessBound:
@@ -254,11 +246,18 @@ class TestSolve:
         )
         assert solve(system).to_json_dict() == every_pivot.to_json_dict()
 
+    def test_cap_below_trial_limit_needs_no_cofactor(self):
+        # d0/3 = 1000003 * 1000033 does not factor by trial division, but
+        # trial division to its cube-root cap 10**4 proves its only divisor
+        # up to the cap is 1
+        assert solve(TripleSystem(0, 3000108000297)) == SolutionSet.finite(())
+
     def test_incomplete_factorization_raises(self):
-        # d0/3 = 1000003 * 1000033; both primes lie just above the trial limit
+        # d0/3 = 2 * 1000003 * 1000033 * 1000037: the cap, about 1.26e6, lies
+        # above the trial limit, and the cofactor left there is composite
         with pytest.raises(IncompleteFactorizationError) as excinfo:
-            solve(TripleSystem(0, 3000108000297))
-        assert excinfo.value.cofactor == 1000003 * 1000033
+            solve(TripleSystem(0, 6 * 1000003 * 1000033 * 1000037))
+        assert excinfo.value.cofactor == 1000003 * 1000033 * 1000037
 
     def test_deterministic_output(self):
         a = solve(SYS33)
