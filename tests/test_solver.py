@@ -160,6 +160,30 @@ class TestSolveQuadraticForX:
         assert icbrt(abs(SYS33.d0 // 3)) == 2
         assert Triple(1, 1, 1) in solve(SYS33).triples
 
+    @pytest.mark.parametrize(
+        "s,c,k,edge",
+        [
+            (-18, -5940, 1, "s + R"),  # the upper end of the |s^2 - z^2| <= 2|d0/3| window
+            (-18, -5718, -38, "s - R"),  # the lower end, with |k| = R + |s|
+            (-27, -5745, -101, "|k| > R"),  # above R, below R + |s| = 127
+        ],
+    )
+    def test_rooted_pivot_on_window_edge(self, s, c, k, edge):
+        system = TripleSystem(s, c)
+        reach = math.isqrt(s * s + 2 * abs(system.d0 // 3))
+        assert {"s + R": k == s + reach, "s - R": k == s - reach, "|k| > R": abs(k) > reach}[edge]
+        (cand,) = [cand for cand in candidate_zs(system) if cand.k == k]
+        roots = solve_quadratic_for_x(cand, system)
+        assert roots
+        # solve() tests no pivot outside the cube-root cap, so a solution
+        # rooted there must come back through a coordinate inside it
+        cap = icbrt(abs(system.d0 // 3))
+        found = solve(system).triples
+        for x in roots:
+            triple = Triple(x, s - cand.z - x, cand.z)
+            assert triple in found
+            assert min(abs(s - w) for w in triple.as_tuple()) <= cap, triple
+
 
 class TestCompletenessBound:
     @pytest.mark.parametrize(
