@@ -1,5 +1,6 @@
 """Tests for the reduction solver."""
 
+import hashlib
 import json
 import math
 
@@ -23,6 +24,10 @@ from cubetriples.solver import (
 )
 
 SYS33 = TripleSystem(3, 3)
+
+# SHA-256 of json.dumps(solve(...).to_json_dict()) + "\n", the bytes of
+# `solve --format json`, for s in [-12, 12], c in [-300, 300]
+SOLVE_JSON_SWEEP_SHA256 = "ac6583f2f5e63d2d2bcf25e88fc2933309628af4d09e6bbf2a64ca7710f618e0"
 
 systems = st.builds(
     TripleSystem,
@@ -288,6 +293,14 @@ class TestSolve:
         b = solve(SYS33)
         assert a == b
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+    def test_json_sweep_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for s in range(-12, 13):
+            for c in range(-300, 301):
+                line = json.dumps(solve(TripleSystem(s, c)).to_json_dict()) + "\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == SOLVE_JSON_SWEEP_SHA256
 
     @given(systems)
     def test_degenerate_detection(self, system):

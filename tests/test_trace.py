@@ -1,5 +1,6 @@
 """Tests for the derivation-trace emitter."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cubetriples.solver import TripleSystem, candidate_zs, solve
 from cubetriples.trace import (
+    RENDER_FORMATS,
     derive_trace,
     format_solution_set,
     render,
@@ -22,6 +24,15 @@ DATA = Path(__file__).parent / "data"
 # per-pivot note: double root, two roots, negative discriminant, non-square.
 GOLDEN_SYSTEMS = [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]
 GOLDEN_EXTENSIONS = {"plain": "txt", "markdown": "md", "structured-records": "jsonl"}
+
+# SHA-256 of every rendering, in RENDER_FORMATS order, of the systems
+# s in [-6, 6], c in [-150, 150] followed by six with d0/3 = +-2*5*7*...*23,
+# whose 512 pivots lie mostly outside the cube-root cap
+SMOOTH_D0_OVER_3 = 2 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+SWEEP_SYSTEMS = [TripleSystem(s, c) for s in range(-6, 7) for c in range(-150, 151)] + [
+    TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3) for s in (-3, 0, 5) for sign in (1, -1)
+]
+SWEEP_SHA256 = "5d2e714b588553c33ca93058d9b25a23d6495a3d8ebefa57c13d85027b25e8e4"
 
 systems = st.builds(
     TripleSystem,
@@ -107,6 +118,14 @@ class TestRender:
     def test_markdown_golden(self, s, c, format):
         golden = DATA / f"trace_{s}_{c}.{GOLDEN_EXTENSIONS[format]}"
         assert render(derive_trace(TripleSystem(s, c)), format) == golden.read_text()
+
+    def test_sweep_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for system in SWEEP_SYSTEMS:
+            trace = derive_trace(system)
+            for format in RENDER_FORMATS:
+                digest.update(render(trace, format).encode())
+        assert digest.hexdigest() == SWEEP_SHA256
 
     def test_structured_records_shape(self):
         trace = derive_trace(TripleSystem(3, 3))
