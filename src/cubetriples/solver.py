@@ -203,11 +203,6 @@ def _closure(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> tuple[Tripl
     return tuple(Triple(*t) for t in sorted(found))
 
 
-def _fold(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> SolutionSet:
-    """The sorted, permutation-closed finite set of every (x, s - z - x, z)."""
-    return SolutionSet.finite(_closure(s, pivots))
-
-
 def _bound(s: int, d0: int) -> int:
     """completeness_bound of the system with sum s and d0 = c - s^3 != 0."""
     return abs(s) + max(1, abs(d0) // 3)

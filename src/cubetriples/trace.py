@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .solver import SolutionSet, Triple, TripleSystem, _fold, _pivot_pass, candidate_zs
+from .intmath import signed_divisors
+from .solver import SolutionSet, Triple, TripleSystem, _closure, _pivot_pass
 
 __all__ = [
     "RENDER_FORMATS",
@@ -59,10 +60,7 @@ def _s_minus_z(s: int) -> str:
 
 
 def _z_minus_s(s: int) -> str:
-    if s == 0:
-        return "Z"
-    op = "-" if s > 0 else "+"
-    return f"Z {op} {abs(s)}"
+    return f"Z{_term(-s)}"
 
 
 def _fraction(numerator: int, s: int, times_three: bool = False) -> str:
@@ -143,7 +141,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         "quadratic in X alone.",
     )
 
-    if system.degenerate:
+    if d0 == 0:
         factor_left = "X" if s == 0 else f"(X{_term(-s)})"
         add(
             "factor",
@@ -170,6 +168,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             "Each admissible pivot value comes from one signed divisor of "
             f"{d0} that is a multiple of 3."
         )
+        ks = reversed(signed_divisors(reduced))
     else:
         add(
             "divisibility",
@@ -178,12 +177,12 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             "integer Z is admissible.",
         )
         candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
+        ks = ()
 
-    candidates = candidate_zs(system)
-    candidate_list = ", ".join(str(cand.z) for cand in candidates)
+    pivots = list(_pivot_pass(s, reduced, ks))
+    candidate_list = ", ".join(str(z) for z, _, _, _, _ in pivots)
     add("candidates", f"Z in {{{candidate_list}}}", candidates_note)
 
-    pivots = list(_pivot_pass(s, reduced, (cand.k for cand in candidates)))
     for z, k, constant, discriminant, roots in pivots:
         if roots:
             triples = ", ".join(format_triple(Triple(x, s - z - x, z)) for x in roots)
@@ -199,28 +198,27 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
 
     add(
         "solutions",
-        format_solution_set(_fold(s, ((z, roots) for z, _, _, _, roots in pivots))),
+        format_solution_set(
+            SolutionSet.finite(_closure(s, ((z, roots) for z, _, _, _, roots in pivots)))
+        ),
         "Union of the surviving triples, closed under all 6 coordinate "
         "permutations and sorted.",
     )
     return steps
 
 
+# The two lines each step renders to in the text formats.
+_LINE_FORMATS = {
+    "plain": ("{0.index:2d}. [{0.label}] {0.equation_text}", "      {0.note}"),
+    "markdown": ("{0.index}. **{0.label}**: `{0.equation_text}`", "   {0.note}"),
+}
+
+
 def render(trace: list[TraceStep], format: str = "plain") -> str:
     """Deterministic rendering of a trace in one of RENDER_FORMATS."""
-    if format == "plain":
-        lines = []
-        for step in trace:
-            lines.append(f"{step.index:2d}. [{step.label}] {step.equation_text}")
-            lines.append(f"      {step.note}")
-        return "\n".join(lines) + ("\n" if lines else "")
-    if format == "markdown":
-        lines = []
-        for step in trace:
-            lines.append(f"{step.index}. **{step.label}**: `{step.equation_text}`")
-            lines.append(f"   {step.note}")
-        return "\n".join(lines) + ("\n" if lines else "")
-    if format == "structured-records":
+    if format in _LINE_FORMATS:
+        lines = [line.format(step) for step in trace for line in _LINE_FORMATS[format]]
+    elif format == "structured-records":
         lines = [
             json.dumps(
                 {
@@ -233,5 +231,6 @@ def render(trace: list[TraceStep], format: str = "plain") -> str:
             )
             for step in trace
         ]
-        return "\n".join(lines) + ("\n" if lines else "")
-    raise ValueError(f"unknown render format {format!r}")
+    else:
+        raise ValueError(f"unknown render format {format!r}")
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -15,7 +15,7 @@ from cubetriples.solver import (
     SolutionSet,
     Triple,
     TripleSystem,
-    _fold,
+    _closure,
     candidate_zs,
     completeness_bound,
     solve,
@@ -42,8 +42,10 @@ small_systems = st.builds(
     st.integers(min_value=-40, max_value=40),
 )
 
-# d0 = 3m with m != 0 of either sign; for |s| large against |m| the pivot
-# window |s^2 - z^2| <= 2|m| excludes an inner band of z as well
+# d0 = 3m with m != 0 of either sign.  Every pivot z with roots has
+# |s^2 - z^2| <= 2|m|, so for |s| large against |m| an inner band of z is
+# rootless as well; solve() does not rely on this, it tests only the pivots
+# with |s - z| <= icbrt(|m|)
 window_systems = st.builds(
     lambda s, m: TripleSystem(s, s**3 + 3 * m),
     st.integers(min_value=-60, max_value=60),
@@ -152,9 +154,11 @@ class TestSolveQuadraticForX:
     def test_every_solution_has_a_pivot_inside_the_cap(self, system):
         # the solutions come from every admissible pivot, not from solve()
         cap = icbrt(abs(system.d0 // 3))
-        every_pivot = _fold(
-            system.s,
-            ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+        every_pivot = SolutionSet.finite(
+            _closure(
+                system.s,
+                ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+            )
         )
         for triple in every_pivot.triples:
             assert min(abs(system.s - w) for w in triple.as_tuple()) <= cap, triple
@@ -261,17 +265,21 @@ class TestSolve:
                 system = TripleSystem(s, c)
                 if system.degenerate:
                     continue
-                every_pivot = _fold(
-                    s, ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system))
+                every_pivot = SolutionSet.finite(
+                    _closure(
+                        s, ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system))
+                    )
                 )
                 assert solve(system).to_json_dict() == every_pivot.to_json_dict(), (s, c)
 
     @settings(deadline=None)
     @given(smooth_systems)
     def test_smooth_d0_matches_fold_over_every_pivot(self, system):
-        every_pivot = _fold(
-            system.s,
-            ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+        every_pivot = SolutionSet.finite(
+            _closure(
+                system.s,
+                ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+            )
         )
         assert solve(system).to_json_dict() == every_pivot.to_json_dict()
 
