@@ -3,14 +3,16 @@
 Every grid point is classified independently (solver calls are pure).  One
 row worker, _row, classifies the points of one row of fixed s on plain ints.
 With one worker scan_grid yields its records one at a time.  With more, the
-grid is cut into row spans of at most SPAN_POINTS points, at most
-TASKS_PER_WORKER spans per worker are in flight at once, and the spans'
-records are yielded in submission order.  Either way the stream is in (s, c)
-ascending order and identical at every worker count.
+grid is cut into row spans of at most SPAN_POINTS points, the pool starts
+no more processes than there are spans or CPUs, at most TASKS_PER_WORKER
+spans per process are in flight at once, and the spans' records are yielded
+in submission order.  Either way the stream is in (s, c) ascending order and
+identical at every worker count.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -112,6 +114,10 @@ def scan_grid(
         for s in range(s_min, s_max + 1)
         for lo in range(c_min, c_max + 1, SPAN_POINTS)
     )
+    # the pool may start all its workers at the first submit, so ask for no
+    # more than can be busy at once
+    span_count = (s_max - s_min + 1) * -(-(c_max - c_min + 1) // SPAN_POINTS)
+    workers = min(workers, span_count, os.cpu_count() or 1)
     in_flight = TASKS_PER_WORKER * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()

@@ -149,3 +149,59 @@ def test_parallel_scan_submits_a_bounded_number_of_tasks(monkeypatch):
     assert [(r.s, r.c) for r in first] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]
     # one task per row span, submitted in (s, c) order
     assert submitted == [(s, 0, 3, False) for s in range(len(submitted))]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each task
+    at submit, and tracks how many results are submitted but not yet read."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.in_flight = self.peak_in_flight = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        return _InlineFuture(self, fn(*args))
+
+
+class _InlineFuture:
+    def __init__(self, pool, value):
+        self.pool = pool
+        self.value = value
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "s_range,c_range,cpus,workers,peak_in_flight",
+    [
+        ((3, 3), (3, 3), 64, 1, 1),  # one span
+        ((0, 4), (0, 2 * scan.SPAN_POINTS), 64, 15, 15),  # 5 rows of 3 spans
+        ((0, 4), (0, 2 * scan.SPAN_POINTS), 4, 4, 4 * scan.TASKS_PER_WORKER),
+        ((0, 4), (0, 2 * scan.SPAN_POINTS), None, 1, scan.TASKS_PER_WORKER),  # CPU count unknown
+    ],
+)
+def test_parallel_scan_caps_workers(monkeypatch, s_range, c_range, cpus, workers, peak_in_flight):
+    # a fake pool only: asking a real one for 10**5 workers would try to
+    # start that many processes
+    pools = []
+
+    def make_pool(max_workers):
+        pools.append(_InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+    records = list(scan_grid(s_range, c_range, workers=10**5, include_solutions=True))
+    (pool,) = pools
+    assert (pool.max_workers, pool.peak_in_flight) == (workers, peak_in_flight)
+    assert records == list(scan_grid(s_range, c_range, include_solutions=True))
