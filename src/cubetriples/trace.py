@@ -207,17 +207,15 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     return steps
 
 
-# The two lines each step renders to in the text formats.
-_LINE_FORMATS = {
-    "plain": ("{0.index:2d}. [{0.label}] {0.equation_text}", "      {0.note}"),
-    "markdown": ("{0.index}. **{0.label}**: `{0.equation_text}`", "   {0.note}"),
-}
-
-
 def render(trace: list[TraceStep], format: str = "plain") -> str:
     """Deterministic rendering of a trace in one of RENDER_FORMATS."""
-    if format in _LINE_FORMATS:
-        lines = [line.format(step) for step in trace for line in _LINE_FORMATS[format]]
+    if format in ("plain", "markdown"):
+        # a step's two lines: (index, label, equation_text), then the note indented
+        head, indent = ("%2d. [%s] %s", "      ") if format == "plain" else ("%d. **%s**: `%s`", "   ")
+        lines = []
+        for step in trace:
+            lines.append(head % (step.index, step.label, step.equation_text))
+            lines.append(indent + step.note)
     elif format == "structured-records":
         lines = [
             json.dumps(
