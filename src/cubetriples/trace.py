@@ -211,7 +211,7 @@ def render(trace: list[TraceStep], format: str = "plain") -> str:
     """Deterministic rendering of a trace in one of RENDER_FORMATS."""
     if format in ("plain", "markdown"):
         # a step's two lines: (index, label, equation_text), then the note indented
-        head, indent = ("%2d. [%s] %s", "      ") if format == "plain" else ("%d. **%s**: `%s`", "   ")
+        head, indent = ("%2d. [%s] %s", "      ") if format == "plain" else ("%s. **%s**: `%s`", "   ")
         lines = []
         for step in trace:
             lines.append(head % (step.index, step.label, step.equation_text))
