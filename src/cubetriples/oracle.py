@@ -7,12 +7,26 @@ max(|x|,|y|,|z|) <= bound, derives z = s - x - y from the sum constraint,
 tests the cube sum, and closes the hits under the six coordinate
 permutations.  With x <= y <= z, 3x <= s and 2y <= s - x, which bounds the
 rows and columns; z <= bound bounds y from below.  Nothing from the
-solver's reduction is reused here.
+solver's reduction is reused here: no divisors, no discriminant and no
+quadratic, only cubes of exact ints compared with c.
 
-Two interchangeable backends: a pure-Python loop that is exact for any
-bound, and a numpy sweep used when every intermediate value provably fits
-in int64.  Both enumerate the identical triangle; tests cross-check them
-against each other and against a full-box enumeration.
+Row x has t = s - x and columns y in [max(x, t - bound), min(bound, t//2)];
+the rows of the box whose columns are not empty are exactly
+max(-bound, s - 2*bound) <= x <= min(bound, s//3).  On those columns
+g(y) = y^3 + (t - y)^3 is strictly monotone:
+
+    g(y) - g(y - 1) = 3t(2y - t - 1),  and 2y - t - 1 < 0 for y <= t/2,
+
+so g falls as y rises when t > 0 and rises when t < 0.  A row therefore
+holds at most one y with g(y) = c - x^3, except the row t = 0, where g is
+identically 0 and every column is a hit when c = x^3 (a degenerate box).
+Each row walks y from where the previous row stopped: up while the
+crossing does not lie below y + 1, then down while it lies below y, so y
+ends on the last column at or below the crossing, which is the hit if
+there is one.  The walk is exact from any start; the start only sets its
+cost.  The crossing moves little from one row to the next, so a row
+usually costs two cube sums and a call O(bound) of them, instead of one
+per cell of the triangle.
 """
 
 from __future__ import annotations
@@ -23,63 +37,43 @@ from .solver import Triple, TripleSystem
 
 __all__ = ["brute_force"]
 
-# 2 * bound^3 + |c| must stay below 2^63; bounds up to ~10^6 are safe.
-_INT64_SAFE_BOUND = 1_000_000
-
 
 def brute_force(system: TripleSystem, bound: int) -> list[Triple]:
     """All triples with max(|x|,|y|,|z|) <= bound satisfying the system,
     sorted lexicographically."""
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    if bound <= _INT64_SAFE_BOUND and abs(system.c) < 2**62:
-        return _sweep_numpy(system, bound)
-    return _sweep_python(system, bound)
-
-
-def _permuted(hits: list[tuple[int, int, int]]) -> list[Triple]:
-    """The sorted hits closed under the six coordinate permutations."""
-    found = {p for hit in hits for p in itertools.permutations(hit)}
-    return [Triple(*p) for p in sorted(found)]
-
-
-def _sweep_python(system: TripleSystem, bound: int) -> list[Triple]:
     s, c = system.s, system.c
     hits = []
-    for x in range(-bound, min(bound, s // 3) + 1):
+    y = -bound
+    for x in range(max(-bound, s - 2 * bound), min(bound, s // 3) + 1):
         t = s - x
         r = c - x * x * x
-        # x <= y <= z = t - y <= bound
-        for y in range(max(x, t - bound), min(bound, t // 2) + 1):
-            z = t - y
-            if y * y * y + z * z * z == r:
-                hits.append((x, y, z))
-    return _permuted(hits)
-
-
-def _sweep_numpy(system: TripleSystem, bound: int) -> list[Triple]:
-    # imported here so that solve, trace and scan never pay for numpy
-    import numpy as np
-
-    s, c = system.s, system.c
-    values = np.arange(-bound, bound + 1, dtype=np.int64)
-    cubes = values * values * values
-    cubes_rev = cubes[::-1]
-    hits = []
-    for x in range(-bound, min(bound, s // 3) + 1):
-        t = s - x
-        ylo = max(x, t - bound)
-        yhi = min(bound, t // 2)
-        if ylo > yhi:
+        # max() and min() spelled out: builtin calls would double a row's cost
+        lo = t - bound if t - bound > x else x
+        hi = t // 2 if t // 2 < bound else bound
+        if t == 0:
+            if r == 0:
+                hits.extend((x, v, -v) for v in range(lo, hi + 1))
             continue
-        m = yhi - ylo + 1
-        ycubes = cubes[ylo + bound : ylo + bound + m]
-        # z = t - y runs downward as y rises, so its cubes are a reversed
-        # slice of the same table: index of z in cubes_rev is bound - z.
-        j0 = bound - t + ylo
-        zcubes = cubes_rev[j0 : j0 + m]
-        (found,) = (ycubes + zcubes == c - x * x * x).nonzero()
-        for i in found.tolist():
-            y = ylo + i
-            hits.append((x, y, t - y))
-    return _permuted(hits)
+        if y < lo:
+            y = lo
+        elif y > hi:
+            y = hi
+        # sign * (g(y) - r) is > 0 when the crossing lies above y, 0 on it and
+        # < 0 below it; y ends on the last column the crossing is not below
+        sign = 1 if t > 0 else -1
+        while y < hi:
+            v, w = y + 1, t - y - 1
+            if sign * (v * v * v + w * w * w - r) < 0:
+                break
+            y = v
+        z = t - y
+        gap = sign * (y * y * y + z * z * z - r)
+        while gap < 0 and y > lo:
+            y, z = y - 1, z + 1
+            gap = sign * (y * y * y + z * z * z - r)
+        if gap == 0:
+            hits.append((x, y, z))
+    found = {p for hit in hits for p in itertools.permutations(hit)}
+    return [Triple(*p) for p in sorted(found)]

@@ -9,8 +9,8 @@ are diff-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .intmath import signed_divisors
 from .solver import SolutionSet, Triple, TripleSystem, _closure, _pivot_pass
@@ -217,16 +217,11 @@ def render(trace: list[TraceStep], format: str = "plain") -> str:
             lines.append(head % (step.index, step.label, step.equation_text))
             lines.append(indent + step.note)
     elif format == "structured-records":
+        # the bytes json.dumps(..., separators=(",", ":")) writes for the step's
+        # four fields, without building a dict per step
         lines = [
-            json.dumps(
-                {
-                    "index": step.index,
-                    "label": step.label,
-                    "equation_text": step.equation_text,
-                    "note": step.note,
-                },
-                separators=(",", ":"),
-            )
+            '{"index":%d,"label":%s,"equation_text":%s,"note":%s}'
+            % (step.index, _json_string(step.label), _json_string(step.equation_text), _json_string(step.note))
             for step in trace
         ]
     else:

@@ -1,11 +1,12 @@
 """Tests for the brute-force oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubetriples import oracle
-from cubetriples.oracle import _sweep_numpy, _sweep_python, brute_force
+from cubetriples.oracle import brute_force
 from cubetriples.solver import Triple, TripleSystem, completeness_bound, solve, verify
 
 small_systems = st.builds(
@@ -27,6 +28,19 @@ def _full_box(system, bound):
             if x**3 + y**3 + z**3 == c:
                 out.append(Triple(x, y, z))
     return out
+
+
+def _triangle(system, bound):
+    """Reference: every cell of the sorted triangle x <= y <= z, no walk."""
+    s, c = system.s, system.c
+    found = set()
+    for x in range(-bound, min(bound, s // 3) + 1):
+        t = s - x
+        for y in range(max(x, t - bound), min(bound, t // 2) + 1):
+            z = t - y
+            if x**3 + y**3 + z**3 == c:
+                found.update(Triple(x, y, z).permutations())
+    return sorted(found)
 
 
 @st.composite
@@ -73,8 +87,16 @@ def test_negative_bound_rejected():
 
 
 @given(small_systems, bounds)
-def test_backends_agree(system, bound):
-    assert _sweep_python(system, bound) == _sweep_numpy(system, bound)
+def test_walk_equals_triangle(system, bound):
+    assert brute_force(system, bound) == _triangle(system, bound)
+
+
+def test_walk_equals_triangle_exhaustively():
+    for s in range(-6, 7):
+        for c in [*range(-40, 41), s**3]:
+            system = TripleSystem(s, c)
+            for bound in range(13):
+                assert brute_force(system, bound) == _triangle(system, bound), (s, c, bound)
 
 
 @given(small_systems, bounds)
@@ -110,13 +132,13 @@ def test_degenerate_box_is_family_slice():
     assert set(triples) == {t for t in expected if max(map(abs, t.as_tuple())) <= 3}
 
 
-@pytest.mark.parametrize("sweep", [_sweep_numpy, _sweep_python, brute_force])
+@pytest.mark.parametrize("sweep", [brute_force])
 @given(reference_systems(), bounds)
 def test_sorted_triangle_equals_full_box(sweep, system, bound):
     assert sweep(system, bound) == _full_box(system, bound)
 
 
-@pytest.mark.parametrize("sweep", [_sweep_numpy, _sweep_python, brute_force])
+@pytest.mark.parametrize("sweep", [brute_force])
 @pytest.mark.parametrize(
     "s, c, bound, repeated",
     [
@@ -134,17 +156,63 @@ def test_repeated_coordinates(sweep, s, c, bound, repeated):
     assert triples == _full_box(TripleSystem(s, c), bound)
 
 
-def _must_not_run(system, bound):
-    raise AssertionError("brute_force took the wrong backend")
-
-
 @pytest.mark.parametrize("sign", [1, -1])
-def test_int64_dispatch_boundary(monkeypatch, sign):
-    below = TripleSystem(sign * 5, sign * (2**62 - 1))
-    at = TripleSystem(sign * 5, sign * 2**62)
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_sweep_python", _must_not_run)
-        assert brute_force(below, 3) == _full_box(below, 3)
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_sweep_numpy", _must_not_run)
-        assert brute_force(at, 3) == _full_box(at, 3)
+def test_exact_beyond_int64(sign):
+    cases = [
+        (5, 2**62 - 1),
+        (5, 2**62),
+        (5, 2**63),
+        # (3, 3) has four solutions in the box, so c wrapped to 64 bits would find them
+        (3, 3 + 2**64),
+        (10**20, 10**60 + 7),
+    ]
+    for s, c in cases:
+        system = TripleSystem(sign * s, sign * c)
+        assert brute_force(system, 3) == _full_box(system, 3) == [], (s, c)
+
+
+@pytest.mark.parametrize(
+    "s, c, bound, sorted_hits",
+    [
+        # t = s - x is positive on rows x < s and negative on rows x > s
+        (-6, -24, 12, [(-8, -8, 10), (-2, -2, -2)]),
+        (-6, -126, 12, [(-8, -7, 9), (-5, -1, 0)]),
+        # the row x = s has t = 0: a degenerate box hits every one of its columns
+        (-3, -27, 5, [(-5, -3, 5), (-4, -3, 4), (-3, -3, 3), (-3, -2, 2), (-3, -1, 1), (-3, 0, 0)]),
+        (0, 0, 0, [(0, 0, 0)]),
+        (1, 1, 0, []),
+        # |s| > 3 * bound leaves no row
+        (10, 10, 3, []),
+        (-10, -10, 3, []),
+        (-10, -1000, 3, []),
+    ],
+)
+def test_walk_edges(s, c, bound, sorted_hits):
+    triples = brute_force(TripleSystem(s, c), bound)
+    assert triples == _full_box(TripleSystem(s, c), bound)
+    assert sorted({tuple(sorted(t.as_tuple())) for t in triples}) == sorted_hits
+
+
+def test_agreement_with_solver_beyond_criterion_6():
+    rng = random.Random(13)
+    for _ in range(100):
+        s, c = rng.randint(-30, 30), rng.randint(-(10**4), 10**4)
+        system = TripleSystem(s, c)
+        if not system.degenerate:
+            assert brute_force(system, completeness_bound(system)) == list(solve(system).triples), (s, c)
+
+
+@pytest.mark.parametrize(
+    "s, c, bound, orbits",
+    [
+        (-40, 242858, 102326, 0),
+        (1, 298621, 99541, 2),
+        (-3, 298557, 99531, 2),
+    ],
+)
+def test_agreement_with_solver_at_bound_near_1e5(s, c, bound, orbits):
+    system = TripleSystem(s, c)
+    assert completeness_bound(system) == bound
+    triples = brute_force(system, bound)
+    assert triples == list(solve(system).triples)
+    assert len({tuple(sorted(t.as_tuple())) for t in triples}) == orbits
