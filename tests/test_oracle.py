@@ -30,7 +30,7 @@ def _full_box(system, bound):
     return out
 
 
-def _triangle(system, bound):
+def _sweep_python(system, bound):
     """Reference: every cell of the sorted triangle x <= y <= z, no walk."""
     s, c = system.s, system.c
     found = set()
@@ -87,8 +87,9 @@ def test_negative_bound_rejected():
 
 
 @given(small_systems, bounds)
-def test_walk_equals_triangle(system, bound):
-    assert brute_force(system, bound) == _triangle(system, bound)
+def test_backends_agree(system, bound):
+    # the row walk against the plain triangle loop it replaced
+    assert brute_force(system, bound) == _sweep_python(system, bound)
 
 
 def test_walk_equals_triangle_exhaustively():
@@ -96,7 +97,7 @@ def test_walk_equals_triangle_exhaustively():
         for c in [*range(-40, 41), s**3]:
             system = TripleSystem(s, c)
             for bound in range(13):
-                assert brute_force(system, bound) == _triangle(system, bound), (s, c, bound)
+                assert brute_force(system, bound) == _sweep_python(system, bound), (s, c, bound)
 
 
 @given(small_systems, bounds)
@@ -132,13 +133,13 @@ def test_degenerate_box_is_family_slice():
     assert set(triples) == {t for t in expected if max(map(abs, t.as_tuple())) <= 3}
 
 
-@pytest.mark.parametrize("sweep", [brute_force])
+@pytest.mark.parametrize("sweep", [_sweep_python, brute_force])
 @given(reference_systems(), bounds)
 def test_sorted_triangle_equals_full_box(sweep, system, bound):
     assert sweep(system, bound) == _full_box(system, bound)
 
 
-@pytest.mark.parametrize("sweep", [brute_force])
+@pytest.mark.parametrize("sweep", [_sweep_python, brute_force])
 @pytest.mark.parametrize(
     "s, c, bound, repeated",
     [
@@ -157,7 +158,8 @@ def test_repeated_coordinates(sweep, s, c, bound, repeated):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_exact_beyond_int64(sign):
+def test_int64_dispatch_boundary(sign):
+    # c around 2^63, where the oracle once switched from int64 numpy to Python ints
     cases = [
         (5, 2**62 - 1),
         (5, 2**62),
