@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isqrt  # re-exported: floor square root, ValueError below 0
 
 __all__ = [
     "Factorization",
@@ -60,13 +61,6 @@ class Factorization:
         for prime, exponent in self.factors:
             out *= prime**exponent
         return out
-
-
-def isqrt(n: int) -> int:
-    """Floor of the square root: the r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError(f"isqrt of negative integer {n}")
-    return math.isqrt(n)
 
 
 def perfect_square_root(n: int) -> int | None:
@@ -124,15 +118,21 @@ def icbrt(n: int) -> int:
         x = y
 
 
-def _trial_divide(m: int, stop: int) -> tuple[list[tuple[int, int]], int, bool]:
-    """Trial division of m > 0 by 2, 3 and then the numbers 6j +- 1, ascending,
-    up to stop or until p*p exceeds what is left of m.
+def _prime_powers(n: int, limit: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs, sorted by prime, from which every divisor
+    of the nonzero n that is <= limit is built.
 
-    Returns (factors, cofactor, whole): the (prime, exponent) pairs divided
-    out, sorted by prime, and the cofactor left.  whole is True when p*p
-    passed the cofactor, so the cofactor is 1 or prime; otherwise trial
-    division passed stop and every prime factor of the cofactor exceeds it.
+    Trial division of |n| by 2, 3 and then the numbers 6j +- 1, ascending,
+    runs up to min(limit, trial_limit) or until p*p passes what is left of
+    |n|.  This is the one rule for the cofactor m > 1 left over:
+    - trial division finished (p*p passed m): m is prime and is kept;
+    - it stopped at limit: every prime factor of m exceeds limit, so m is in
+      no divisor up to limit and is dropped unfactored;
+    - it stopped at trial_limit, below limit: m is kept if it is certified
+      prime, and otherwise IncompleteFactorizationError(n, m) is raised.
     """
+    m = abs(n)
+    stop = min(limit, trial_limit)
     factors: list[tuple[int, int]] = []
 
     def peel(p: int) -> None:
@@ -150,60 +150,55 @@ def _trial_divide(m: int, stop: int) -> tuple[list[tuple[int, int]], int, bool]:
     p = 5
     while p * p <= m:
         if p > stop:
-            return factors, m, False
+            if limit <= trial_limit:
+                return factors
+            if _miller_rabin_certified(m) is not True:
+                raise IncompleteFactorizationError(n, m)
+            break
         if m % p == 0:
             peel(p)
         if m % (p + 2) == 0:
             peel(p + 2)
         p += 6
-    return factors, m, True
+    if m > 1:
+        factors.append((m, 1))
+    return factors
 
 
 def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> Factorization:
     """Complete prime factorization of a nonzero integer, sign recorded.
 
-    Trial division runs up to min(isqrt(|n|), trial_limit); a surviving
-    cofactor must then be certified prime by a deterministic check or
-    an IncompleteFactorizationError is raised naming it.
+    The factors are _prime_powers(n, |n|, trial_limit): trial division runs
+    up to min(isqrt(|n|), trial_limit), and a cofactor left above
+    trial_limit must be certified prime or IncompleteFactorizationError is
+    raised naming it.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
     if trial_limit < 1:
         raise ValueError(f"trial_limit must be positive, got {trial_limit}")
-    factors, m, whole = _trial_divide(abs(n), trial_limit)
-    if m > 1:
-        if not whole and _miller_rabin_certified(m) is not True:
-            raise IncompleteFactorizationError(n, m)
-        factors.append((m, 1))
-    return Factorization(sign=1 if n > 0 else -1, factors=tuple(factors))
+    factors = tuple(_prime_powers(n, abs(n), trial_limit))
+    return Factorization(sign=1 if n > 0 else -1, factors=factors)
 
 
 def _divisors_up_to(n: int, limit: int) -> list[int]:
     """Every positive divisor of n that is <= limit, proven complete, in no
     particular order.
 
-    Every such divisor is a product of primes <= limit, so trial division
-    runs only up to min(limit, DEFAULT_TRIAL_LIMIT).  A cofactor left once
-    it has passed limit holds only primes above limit and is dropped
-    unfactored.  When limit is above the trial limit, n is factored in full
-    by factorize(), so IncompleteFactorizationError is raised unless the
-    cofactor left there is certified prime.  Each prime power then
-    multiplies into the products built so far, and a product above the
-    limit is dropped together with every multiple the remaining primes
-    would make of it: multiplying only makes a positive product larger.
+    The prime powers come from _prime_powers(n, limit), whose one cofactor
+    rule drops what holds only primes above limit and raises
+    IncompleteFactorizationError for a cofactor above the trial limit that
+    is not certified prime.  Each prime power then multiplies into the
+    products built so far, and a product above the limit is dropped together
+    with every multiple the remaining primes would make of it: multiplying
+    only makes a positive product larger.
     """
     if n == 0:
         raise ValueError("0 has no divisor set")
     if limit < 1:
         return []
-    if limit > DEFAULT_TRIAL_LIMIT:
-        factors = factorize(n).factors
-    else:
-        factors, m, whole = _trial_divide(abs(n), limit)
-        if whole and m > 1:
-            factors.append((m, 1))
     divisors = [1]
-    for prime, exponent in factors:
+    for prime, exponent in _prime_powers(n, limit):
         bound = limit // prime  # d * prime <= limit exactly when d <= bound
         grown = divisors
         for _ in range(exponent):

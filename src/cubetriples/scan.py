@@ -2,12 +2,13 @@
 
 Every grid point is classified independently (solver calls are pure).  One
 row worker, _row, classifies the points of one row of fixed s on plain ints.
-With one worker scan_grid yields its records one at a time.  With more, the
-grid is cut into row spans of at most SPAN_POINTS points, the pool starts
-no more processes than there are spans or CPUs, at most TASKS_PER_WORKER
-spans per process are in flight at once, and the spans' records are yielded
-in submission order.  Either way the stream is in (s, c) ascending order and
-identical at every worker count.
+The worker count is first capped at the number of row spans of at most
+SPAN_POINTS points and at the CPU count (1 when that is unknown).  With one
+worker, scan_grid yields its records one at a time in the calling process.
+With more, a pool of that many processes classifies the spans, at most
+TASKS_PER_WORKER spans per process are in flight at once, and the spans'
+records are yielded in submission order.  Either way the stream is in
+(s, c) ascending order and identical at every worker count.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ def scan_grid(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
+    # the pool may start all its workers at the first submit, so ask for no
+    # more than can be busy at once; a pool of one would only add pickling
+    span_count = (s_max - s_min + 1) * -(-(c_max - c_min + 1) // SPAN_POINTS)
+    workers = min(workers, span_count, os.cpu_count() or 1)
     if workers == 1:
         for s in range(s_min, s_max + 1):
             yield from _row(s, c_min, c_max, include_solutions)
@@ -114,10 +119,6 @@ def scan_grid(
         for s in range(s_min, s_max + 1)
         for lo in range(c_min, c_max + 1, SPAN_POINTS)
     )
-    # the pool may start all its workers at the first submit, so ask for no
-    # more than can be busy at once
-    span_count = (s_max - s_min + 1) * -(-(c_max - c_min + 1) // SPAN_POINTS)
-    workers = min(workers, span_count, os.cpu_count() or 1)
     in_flight = TASKS_PER_WORKER * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()

@@ -237,12 +237,13 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_incomplete_factorization_leaves_no_output(self, capsys, tmp_path, jobs):
-        # the range holds c = UNCERTIFIED_C after points that do factor, among
+        # row s = 0 holds c = UNCERTIFIED_C after points that do factor, among
         # them c - 6 and c - 3, whose caps also lie above the trial limit;
-        # it ends before c + 3, which fails as well
+        # it ends before c + 3, which fails as well.  Two rows make two row
+        # spans, so at --jobs 2 the error crosses the process boundary
         out_file = tmp_path / "r.jsonl"
         code, _, err = run_cli(
-            capsys, "scan", "--sum-range", "0:0",
+            capsys, "scan", "--sum-range", "0:1",
             "--cubes-range", f"{UNCERTIFIED_C - 7}:{UNCERTIFIED_C + 2}",
             "--out", str(out_file), "--jobs", jobs,
         )

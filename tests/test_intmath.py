@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -99,6 +100,13 @@ def _is_prime_by_trial(p: int) -> bool:
     return True
 
 
+def _assert_factored_in_full(fac: Factorization, n: int) -> None:
+    primes = [p for p, _ in fac.factors]
+    assert fac.value() == n
+    assert primes == sorted(set(primes))
+    assert all(_is_prime_by_trial(p) and e >= 1 for p, e in fac.factors)
+
+
 class TestFactorize:
     @pytest.mark.parametrize(
         "n,expected",
@@ -128,6 +136,40 @@ class TestFactorize:
             factorize(n, trial_limit=1000)
         assert excinfo.value.cofactor == n
         assert str(n) in str(excinfo.value)
+
+    @pytest.mark.parametrize("n", [1, -2, 97, -360, 35 * 2**5, -(5**2), 10**9 + 7, -1000003 * 1000033])
+    def test_trial_limit_at_or_above_n_factors_in_full(self, n):
+        # trial division finishes before it reaches the trial limit, so the
+        # cofactor it leaves is 1 or prime and is kept without certifying
+        _assert_factored_in_full(factorize(n, trial_limit=abs(n)), n)
+
+    @pytest.mark.parametrize(
+        "n,cofactor",
+        [
+            (24, None),
+            (-2 * 3 * 97, None),
+            (2 * 5, None),  # 5 is left, and 5 * 5 > 5 ends trial division
+            (6 * (10**9 + 7), None),
+            (35 * 2**5, 35),
+            (-(5**2), 25),
+            (3**4 * 7 * 11, 77),
+            (-1000003 * 1000033, 1000003 * 1000033),
+        ],
+    )
+    def test_trial_limit_one_certifies_what_2_and_3_leave(self, n, cofactor):
+        if cofactor is None:
+            _assert_factored_in_full(factorize(n, trial_limit=1), n)
+        else:
+            with pytest.raises(IncompleteFactorizationError) as excinfo:
+                factorize(n, trial_limit=1)
+            assert (excinfo.value.n, excinfo.value.cofactor) == (n, cofactor)
+
+    def test_error_survives_pickle(self):
+        # a scan worker's error reaches the parent process pickled
+        error = IncompleteFactorizationError(-3000108000297, 1000003 * 1000033)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is IncompleteFactorizationError
+        assert (copy.n, copy.cofactor, str(copy)) == (error.n, error.cofactor, str(error))
 
     @given(st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0))
     def test_reconstruction_is_identity(self, n):
@@ -250,6 +292,18 @@ class TestDivisorsUpTo:
         # trial division to the limit proves 1 the only divisor up to it
         assert _divisors_up_to(1000003 * 1000033, 10**4) == [1]
 
+    def test_cofactor_dropped_at_the_trial_limit(self):
+        # the limit equals the trial limit, so trial division stopped at the
+        # limit and the cofactor holds only primes above it
+        assert _divisors_up_to(1000003 * 1000033, 10**6) == [1]
+
+    def test_cofactor_raises_just_above_the_trial_limit(self):
+        # one past the trial limit, the composite cofactor must be certified
+        n = 1000003 * 1000033
+        with pytest.raises(IncompleteFactorizationError) as excinfo:
+            _divisors_up_to(n, 10**6 + 1)
+        assert (excinfo.value.n, excinfo.value.cofactor) == (n, n)
+
     def test_composite_cofactor_below_the_limit_raises(self):
         # the limit lies above the trial limit, so the cofactor left there
         # must be certified prime, and it is composite
@@ -273,3 +327,36 @@ class TestDivisorsUpTo:
             limit = rng.choice((icbrt(n), rng.randrange(1, n + 1), n))
             expected = [d for d in sympy.divisors(n) if d <= limit]
             assert sorted(_divisors_up_to(rng.choice((n, -n)), limit)) == expected, (n, limit)
+
+
+def test_cofactor_rule_matches_sympy():
+    # factorize and _divisors_up_to raise exactly when the cofactor left by
+    # trial division to 10^6 is composite and needed: always for factorize,
+    # and for _divisors_up_to only when the limit passes the trial limit
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0)
+
+    def prime_above_trial_limit():
+        return sympy.nextprime(rng.randrange(10**6, 10**7 - 10**3))
+
+    numbers = [rng.randrange(1, 10**12) for _ in range(300)]
+    numbers += [prime_above_trial_limit() * prime_above_trial_limit() for _ in range(20)]
+    for m in numbers:
+        n = rng.choice((m, -m))
+        factors = sympy.factorint(m)
+        cofactor = math.prod(p**e for p, e in factors.items() if p > 10**6)
+        composite = cofactor > 1 and not sympy.isprime(cofactor)
+        limit = rng.choice((10**6, 10**6 + 1, icbrt(m), m))
+        if composite:
+            with pytest.raises(IncompleteFactorizationError) as excinfo:
+                factorize(n)
+            assert (excinfo.value.n, excinfo.value.cofactor) == (n, cofactor)
+        else:
+            assert factorize(n) == Factorization(1 if n > 0 else -1, tuple(sorted(factors.items()))), n
+        if composite and limit > 10**6:
+            with pytest.raises(IncompleteFactorizationError) as excinfo:
+                _divisors_up_to(n, limit)
+            assert (excinfo.value.n, excinfo.value.cofactor) == (n, cofactor)
+        else:
+            expected = [d for d in sympy.divisors(m) if d <= limit]
+            assert sorted(_divisors_up_to(n, limit)) == expected, (n, limit)

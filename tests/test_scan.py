@@ -184,15 +184,19 @@ class _InlineFuture:
 @pytest.mark.parametrize(
     "s_range,c_range,cpus,workers,peak_in_flight",
     [
-        ((3, 3), (3, 3), 64, 1, 1),  # one span
+        # a worker count capped at 1 streams in the calling process, and no
+        # pool starts; the explicit ids keep these two cases' names stable
+        pytest.param((3, 3), (3, 3), 64, 1, None, id="s_range0-c_range0-64-1-1"),  # one span
         ((0, 4), (0, 2 * scan.SPAN_POINTS), 64, 15, 15),  # 5 rows of 3 spans
         ((0, 4), (0, 2 * scan.SPAN_POINTS), 4, 4, 4 * scan.TASKS_PER_WORKER),
-        ((0, 4), (0, 2 * scan.SPAN_POINTS), None, 1, scan.TASKS_PER_WORKER),  # CPU count unknown
+        pytest.param(  # CPU count unknown
+            (0, 4), (0, 2 * scan.SPAN_POINTS), None, 1, None, id="s_range3-c_range3-None-1-2"
+        ),
     ],
 )
 def test_parallel_scan_caps_workers(monkeypatch, s_range, c_range, cpus, workers, peak_in_flight):
     # a fake pool only: asking a real one for 10**5 workers would try to
-    # start that many processes
+    # start that many processes; peak_in_flight is None where none starts
     pools = []
 
     def make_pool(max_workers):
@@ -202,6 +206,6 @@ def test_parallel_scan_caps_workers(monkeypatch, s_range, c_range, cpus, workers
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
     monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
     records = list(scan_grid(s_range, c_range, workers=10**5, include_solutions=True))
-    (pool,) = pools
-    assert (pool.max_workers, pool.peak_in_flight) == (workers, peak_in_flight)
+    expected = [] if workers == 1 else [(workers, peak_in_flight)]
+    assert [(pool.max_workers, pool.peak_in_flight) for pool in pools] == expected
     assert records == list(scan_grid(s_range, c_range, include_solutions=True))
