@@ -4,9 +4,11 @@ All integer flags accept values of any magnitude.  Exit codes:
 
 0  the command ran; an empty solution set is an answer, not an error.
 1  a runtime failure, reported as one line on stderr: an unwritable output
-   path, or a d0 whose factorization trial division cannot complete.
-   scan writes to a sibling temporary file and renames it onto --out only
-   on success, so a failed scan leaves no partial output.
+   path, a scan --out that exists and is not a regular file, or a d0 whose
+   divisors up to the cube-root cap cannot be proven complete (for trace,
+   whose full factorization cannot).  scan writes to a temporary file
+   beside the file --out resolves to and renames it there only on success,
+   so a failed scan leaves no partial output.
 2  a usage error.
 """
 
@@ -106,7 +108,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
     s_range = args.sum_range
     c_range = args.cubes_range
     counts = {"finite": 0, "empty": 0, "infinite_family": 0}
-    partial = f"{args.out}.{os.getpid()}.tmp"
+    # rename onto the file a symlink names, never onto the link itself, and
+    # never replace a FIFO, device or directory with a regular file
+    out = os.path.realpath(args.out)
+    if os.path.exists(out) and not os.path.isfile(out):
+        print(f"cubetriples scan: --out {args.out} is not a regular file", file=sys.stderr)
+        return 1
+    partial = f"{out}.{os.getpid()}.tmp"
     try:
         sink = open(partial, "x", encoding="utf-8")
     except OSError as exc:
@@ -124,7 +132,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 else:
                     counts["finite"] += 1
                 sink.write(record_to_json(record) + "\n")
-        os.replace(partial, args.out)
+        os.replace(partial, out)
     except BaseException:
         os.unlink(partial)
         raise

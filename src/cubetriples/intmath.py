@@ -20,7 +20,7 @@ __all__ = [
     "signed_divisors",
 ]
 
-DEFAULT_TRIAL_LIMIT = 10**6
+TRIAL_LIMIT = 10**6
 
 # Miller-Rabin with these witnesses is a proven deterministic primality test
 # for everything below this bound (Sorenson & Webster, first 13 primes).
@@ -71,20 +71,21 @@ def perfect_square_root(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _miller_rabin_certified(n: int) -> bool | None:
-    """Deterministic primality verdict for odd n > 2.
+def _proven_prime(n: int) -> bool:
+    """Whether n is proven prime by Miller-Rabin to the 13 witnesses, which
+    decides every n below _MR_PROVEN_BOUND; at or above it nothing is proven.
 
-    True/False when the answer is proven; None when n is beyond the proven
-    witness bound and merely *probably* prime.
+    n must be odd and above the largest witness: the cofactor left once
+    trial division passed TRIAL_LIMIT with p*p <= n, so n > 10^12.
     """
+    if n >= _MR_PROVEN_BOUND:
+        return False
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -94,7 +95,7 @@ def _miller_rabin_certified(n: int) -> bool | None:
                 break
         else:
             return False
-    return True if n < _MR_PROVEN_BOUND else None
+    return True
 
 
 def icbrt(n: int) -> int:
@@ -118,21 +119,21 @@ def icbrt(n: int) -> int:
         x = y
 
 
-def _prime_powers(n: int, limit: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> list[tuple[int, int]]:
+def _prime_powers(n: int, limit: int) -> list[tuple[int, int]]:
     """The (prime, exponent) pairs, sorted by prime, from which every divisor
     of the nonzero n that is <= limit is built.
 
     Trial division of |n| by 2, 3 and then the numbers 6j +- 1, ascending,
-    runs up to min(limit, trial_limit) or until p*p passes what is left of
+    runs up to min(limit, TRIAL_LIMIT) or until p*p passes what is left of
     |n|.  This is the one rule for the cofactor m > 1 left over:
     - trial division finished (p*p passed m): m is prime and is kept;
     - it stopped at limit: every prime factor of m exceeds limit, so m is in
       no divisor up to limit and is dropped unfactored;
-    - it stopped at trial_limit, below limit: m is kept if it is certified
+    - it stopped at TRIAL_LIMIT, below limit: m is kept if it is certified
       prime, and otherwise IncompleteFactorizationError(n, m) is raised.
     """
     m = abs(n)
-    stop = min(limit, trial_limit)
+    stop = min(limit, TRIAL_LIMIT)
     factors: list[tuple[int, int]] = []
 
     def peel(p: int) -> None:
@@ -150,9 +151,9 @@ def _prime_powers(n: int, limit: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) ->
     p = 5
     while p * p <= m:
         if p > stop:
-            if limit <= trial_limit:
+            if limit <= TRIAL_LIMIT:
                 return factors
-            if _miller_rabin_certified(m) is not True:
+            if not _proven_prime(m):
                 raise IncompleteFactorizationError(n, m)
             break
         if m % p == 0:
@@ -165,19 +166,16 @@ def _prime_powers(n: int, limit: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) ->
     return factors
 
 
-def factorize(n: int, trial_limit: int = DEFAULT_TRIAL_LIMIT) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Complete prime factorization of a nonzero integer, sign recorded.
 
-    The factors are _prime_powers(n, |n|, trial_limit): trial division runs
-    up to min(isqrt(|n|), trial_limit), and a cofactor left above
-    trial_limit must be certified prime or IncompleteFactorizationError is
-    raised naming it.
+    The factors are _prime_powers(n, |n|): trial division runs up to
+    min(isqrt(|n|), TRIAL_LIMIT), and a cofactor left above TRIAL_LIMIT must
+    be certified prime or IncompleteFactorizationError is raised naming it.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    if trial_limit < 1:
-        raise ValueError(f"trial_limit must be positive, got {trial_limit}")
-    factors = tuple(_prime_powers(n, abs(n), trial_limit))
+    factors = tuple(_prime_powers(n, abs(n)))
     return Factorization(sign=1 if n > 0 else -1, factors=factors)
 
 
@@ -187,8 +185,8 @@ def _divisors_up_to(n: int, limit: int) -> list[int]:
 
     The prime powers come from _prime_powers(n, limit), whose one cofactor
     rule drops what holds only primes above limit and raises
-    IncompleteFactorizationError for a cofactor above the trial limit that
-    is not certified prime.  Each prime power then multiplies into the
+    IncompleteFactorizationError for a cofactor above TRIAL_LIMIT that is
+    not certified prime.  Each prime power then multiplies into the
     products built so far, and a product above the limit is dropped together
     with every multiple the remaining primes would make of it: multiplying
     only makes a positive product larger.

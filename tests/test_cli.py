@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -234,6 +236,46 @@ class TestScanCommand:
         )
         assert code == 1
         assert "cannot open output file" in err
+
+    @pytest.mark.parametrize("target_exists", [True, False], ids=["existing", "dangling"])
+    def test_symlinked_out_writes_the_target(self, capsys, tmp_path, target_exists):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        if target_exists:
+            target.write_text("old\n")
+        link.symlink_to(target)
+        code, _, _ = run_cli(
+            capsys, "scan", "--sum-range", "3:3", "--cubes-range", "3:3", "--out", str(link)
+        )
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["solution_count"] == 4
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    @pytest.mark.parametrize("node", ["fifo", "directory", "symlink-to-fifo"])
+    def test_out_that_is_not_a_regular_file_is_refused(self, capsys, tmp_path, node):
+        out_node = tmp_path / "r.jsonl"
+        if node == "directory":
+            out_node.mkdir()
+        else:
+            os.mkfifo(out_node)
+        out_arg = out_node
+        if node == "symlink-to-fifo":
+            out_arg = tmp_path / "link.jsonl"
+            out_arg.symlink_to(out_node)
+        nodes = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(
+            capsys, "scan", "--sum-range", "3:3", "--cubes-range", "3:3", "--out", str(out_arg)
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "not a regular file" in err
+        is_node = stat.S_ISDIR if node == "directory" else stat.S_ISFIFO
+        assert is_node(out_node.lstat().st_mode)
+        assert out_arg.is_symlink() == (node == "symlink-to-fifo")
+        assert sorted(tmp_path.iterdir()) == nodes
+        if node == "directory":
+            assert list(out_node.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_incomplete_factorization_leaves_no_output(self, capsys, tmp_path, jobs):

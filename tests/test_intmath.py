@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubetriples.intmath import (
+    _MR_PROVEN_BOUND,
     Factorization,
     IncompleteFactorizationError,
     _divisors_up_to,
+    _proven_prime,
     factorize,
     icbrt,
     isqrt,
@@ -100,13 +102,6 @@ def _is_prime_by_trial(p: int) -> bool:
     return True
 
 
-def _assert_factored_in_full(fac: Factorization, n: int) -> None:
-    primes = [p for p, _ in fac.factors]
-    assert fac.value() == n
-    assert primes == sorted(set(primes))
-    assert all(_is_prime_by_trial(p) and e >= 1 for p, e in fac.factors)
-
-
 class TestFactorize:
     @pytest.mark.parametrize(
         "n,expected",
@@ -116,6 +111,11 @@ class TestFactorize:
             (1, Factorization(1, ())),
             (-1, Factorization(-1, ())),
             (97, Factorization(1, ((97, 1),))),
+            (-2, Factorization(-1, ((2, 1),))),
+            (-360, Factorization(-1, ((2, 3), (3, 2), (5, 1)))),
+            (35 * 2**5, Factorization(1, ((2, 5), (5, 1), (7, 1)))),
+            (-(5**2), Factorization(-1, ((5, 2),))),
+            (10**9 + 7, Factorization(1, ((10**9 + 7, 1),))),
         ],
     )
     def test_examples(self, n, expected):
@@ -126,43 +126,45 @@ class TestFactorize:
             factorize(0)
 
     def test_large_prime_cofactor_is_certified(self):
-        p = 10**9 + 7
-        fac = factorize(2 * p, trial_limit=1000)
+        # p lies above (10^6 + 1)^2, so trial division stops at 10^6 and
+        # Miller-Rabin must prove the cofactor prime
+        p = 10**13 + 37
+        fac = factorize(2 * p)
         assert fac == Factorization(1, ((2, 1), (p, 1)))
+
+    def test_largest_prime_below_the_bound_is_certified(self):
+        # the last prime before the bound: Miller-Rabin still proves it
+        p = _MR_PROVEN_BOUND - 168
+        assert factorize(p) == Factorization(1, ((p, 1),))
+
+    def test_prime_cofactor_where_trial_division_ends(self):
+        # the next trial divisor after 10^6 is 1000001, whose square passes
+        # 10^12 + 39: trial division itself proves the cofactor prime
+        p = 10**12 + 39
+        assert factorize(2 * p) == Factorization(1, ((2, 1), (p, 1)))
 
     def test_composite_cofactor_reports_incomplete(self):
         n = (10**9 + 7) * (10**9 + 9)
         with pytest.raises(IncompleteFactorizationError) as excinfo:
-            factorize(n, trial_limit=1000)
+            factorize(n)
         assert excinfo.value.cofactor == n
         assert str(n) in str(excinfo.value)
 
-    @pytest.mark.parametrize("n", [1, -2, 97, -360, 35 * 2**5, -(5**2), 10**9 + 7, -1000003 * 1000033])
-    def test_trial_limit_at_or_above_n_factors_in_full(self, n):
-        # trial division finishes before it reaches the trial limit, so the
-        # cofactor it leaves is 1 or prime and is kept without certifying
-        _assert_factored_in_full(factorize(n, trial_limit=abs(n)), n)
-
     @pytest.mark.parametrize(
-        "n,cofactor",
+        "n",
         [
-            (24, None),
-            (-2 * 3 * 97, None),
-            (2 * 5, None),  # 5 is left, and 5 * 5 > 5 ends trial division
-            (6 * (10**9 + 7), None),
-            (35 * 2**5, 35),
-            (-(5**2), 25),
-            (3**4 * 7 * 11, 77),
-            (-1000003 * 1000033, 1000003 * 1000033),
+            # strong pseudoprime to every witness 2..37; only 41 rejects it
+            pytest.param(399165290221 * 798330580441, id="psi12"),
+            # _MR_PROVEN_BOUND itself, a strong pseudoprime to all 13
+            # witnesses; only the exclusive bound stops it
+            pytest.param(1287836182261 * 2575672364521, id="psi13"),
+            pytest.param((10**6 + 3) ** 2, id="square-above-trial-limit"),
         ],
     )
-    def test_trial_limit_one_certifies_what_2_and_3_leave(self, n, cofactor):
-        if cofactor is None:
-            _assert_factored_in_full(factorize(n, trial_limit=1), n)
-        else:
-            with pytest.raises(IncompleteFactorizationError) as excinfo:
-                factorize(n, trial_limit=1)
-            assert (excinfo.value.n, excinfo.value.cofactor) == (n, cofactor)
+    def test_composite_cofactor_past_the_trial_limit_raises(self, n):
+        with pytest.raises(IncompleteFactorizationError) as excinfo:
+            factorize(n)
+        assert (excinfo.value.n, excinfo.value.cofactor) == (n, n)
 
     def test_error_survives_pickle(self):
         # a scan worker's error reaches the parent process pickled
@@ -360,3 +362,12 @@ def test_cofactor_rule_matches_sympy():
         else:
             expected = [d for d in sympy.divisors(m) if d <= limit]
             assert sorted(_divisors_up_to(n, limit)) == expected, (n, limit)
+
+
+def test_proven_prime_matches_sympy():
+    # every cofactor that reaches the primality test is odd and above 10^12
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    for _ in range(3000):
+        n = rng.randrange(10**12, 10**25) | 1
+        assert _proven_prime(n) == (sympy.isprime(n) and n < _MR_PROVEN_BOUND), n
