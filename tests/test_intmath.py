@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cubetriples.intmath import (
     _MR_PROVEN_BOUND,
     Factorization,
+    TRIAL_LIMIT,
     IncompleteFactorizationError,
     _divisors_up_to,
     _proven_prime,
@@ -149,6 +150,17 @@ class TestFactorize:
             factorize(n)
         assert excinfo.value.cofactor == n
         assert str(n) in str(excinfo.value)
+
+    @pytest.mark.parametrize("n", [1, 97])
+    def test_trial_limit_at_or_above_n_factors_in_full(self, n):
+        # trial division finishes before it reaches the trial limit, so the
+        # cofactor it leaves is 1 or prime and is kept without certifying
+        assert abs(n) <= TRIAL_LIMIT
+        fac = factorize(n)
+        primes = [p for p, _ in fac.factors]
+        assert fac.value() == n
+        assert primes == sorted(set(primes))
+        assert all(_is_prime_by_trial(p) and e >= 1 for p, e in fac.factors)
 
     @pytest.mark.parametrize(
         "n",
