@@ -1,14 +1,20 @@
 """Command-line front end: solve, oracle, trace, and scan subcommands.
 
-All integer flags accept values of any magnitude.  Exit codes:
+All integer flags accept values of any magnitude.  Python caps int<->str
+conversion at 4300 digits by default, and values derived from a flag (d0,
+a trace's remainders, a scan record's bound_used) outgrow the flag itself,
+so run(), the entry point of the console script and of python -m
+cubetriples, lifts that cap for its own process before parsing; main()
+leaves it as it finds it.  Exit codes:
 
 0  the command ran; an empty solution set is an answer, not an error.
-1  a runtime failure, reported as one line on stderr: an unwritable output
-   path, a scan --out that exists and is not a regular file, or a d0 whose
-   divisors up to the cube-root cap cannot be proven complete (for trace,
-   whose full factorization cannot).  scan writes to a temporary file
-   beside the file --out resolves to and renames it there only on success,
-   so a failed scan leaves no partial output.
+1  a runtime failure, reported as one stderr line that starts with
+   "cubetriples <command>: ": an unwritable output path, a scan --out that
+   exists and is not a regular file, or a d0 whose divisors up to the
+   cube-root cap cannot be proven complete (for trace, whose full
+   factorization cannot).  scan writes to a temporary file beside the file
+   --out resolves to and renames it there only on success, so a failed scan
+   leaves no partial output.
 2  a usage error.
 """
 
@@ -118,7 +124,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     try:
         sink = open(partial, "x", encoding="utf-8")
     except OSError as exc:
-        print(f"cannot open output file: {exc}", file=sys.stderr)
+        print(f"cubetriples scan: cannot open output file: {exc}", file=sys.stderr)
         return 1
     try:
         with sink:
@@ -169,4 +175,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    # Python 3.10.0 to 3.10.6 have no digit cap and no way to set it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())

@@ -33,16 +33,18 @@ class IncompleteFactorizationError(ValueError):
     not be certified prime."""
 
     def __init__(self, n: int, cofactor: int) -> None:
+        # args = (n, cofactor) is what BaseException pickles and rebuilds from
+        super().__init__(n, cofactor)
         self.n = n
         self.cofactor = cofactor
-        super().__init__(
-            f"incomplete factorization of {n}: cofactor {cofactor} is not "
-            f"certified prime within the trial limit"
-        )
 
-    def __reduce__(self):
-        # rebuild from (n, cofactor) so the error survives a process pool
-        return (type(self), (self.n, self.cofactor))
+    def __str__(self) -> str:
+        # formatted only when shown, so building, raising or pickling the
+        # error never converts a huge n to decimal
+        return (
+            f"incomplete factorization of {self.n}: cofactor {self.cofactor} "
+            f"is not certified prime within the trial limit"
+        )
 
 
 @dataclass(frozen=True)

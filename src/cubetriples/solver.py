@@ -134,15 +134,24 @@ def verify(triple: Triple, system: TripleSystem) -> bool:
     return x + y + z == system.s and x**3 + y**3 + z**3 == system.c
 
 
-def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
-    """Every admissible pivot z, sorted ascending.
+def _admissible_ks(d0: int) -> Iterable[int]:
+    """k = s - z for every admissible pivot z of a system with d0 = c - s^3
+    != 0, descending, so that z comes out ascending.
 
-    z is admissible iff z != s and 3(s - z) divides d0 = c - s^3; these are
-    the only values any solution coordinate can take in a non-degenerate
-    system.  So there are none unless 3 | d0, and otherwise k = s - z runs
-    over the signed divisors of d0/3; walking them in descending order
-    yields z ascending.  The list holds every admissible pivot, including
-    those with |k| > icbrt(|d0/3|) that solve() skips: every solution has a
+    z is admissible iff z != s and 3(s - z) divides d0; these are the only
+    values any solution coordinate can take in a non-degenerate system.  So
+    there are none unless 3 | d0, and otherwise k runs over the signed
+    divisors of d0/3.
+    """
+    if d0 % 3 != 0:
+        return ()
+    return reversed(signed_divisors(d0 // 3))
+
+
+def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
+    """Every admissible pivot z, sorted ascending, with k = s - z from
+    _admissible_ks.  The list holds every admissible pivot, including those
+    with |k| > icbrt(|d0/3|) that solve() skips: every solution has a
     coordinate z with |s - z|^3 <= |d0/3| (see the module docstring).
     """
     d0 = system.d0
@@ -151,13 +160,7 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
             f"system (s={system.s}, c={system.c}) is degenerate (c = s^3); "
             f"solve() handles this case"
         )
-    if d0 % 3 != 0:
-        return []
-    reduced = d0 // 3
-    return [
-        CandidateZ(z=system.s - k, k=k, d=reduced // k)
-        for k in reversed(signed_divisors(reduced))
-    ]
+    return [CandidateZ(z=system.s - k, k=k, d=d0 // (3 * k)) for k in _admissible_ks(d0)]
 
 
 def _pivot_pass(

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 
-from .intmath import signed_divisors
-from .solver import SolutionSet, Triple, TripleSystem, _closure, _pivot_pass
+from .solver import SolutionSet, Triple, TripleSystem, _admissible_ks, _closure, _pivot_pass
 
 __all__ = [
     "RENDER_FORMATS",
@@ -53,18 +52,9 @@ def _term(coefficient: int, symbol: str = "") -> str:
     return f"{sign}{magnitude}{symbol}"
 
 
-def _s_minus_z(s: int) -> str:
-    if s == 0:
-        return "-Z"
-    return f"{s} - Z"
-
-
-def _z_minus_s(s: int) -> str:
-    return f"Z{_term(-s)}"
-
-
-def _fraction(numerator: int, s: int, times_three: bool = False) -> str:
-    """Sign-simplified remainder fraction numerator / (s - Z).
+def _fraction(numerator: int, s_minus_z: str, z_minus_s: str, times_three: bool = False) -> str:
+    """Sign-simplified remainder fraction numerator / (s - Z), given the
+    rendered s - Z and Z - s.
 
     Negative numerators flip the denominator to Z - s so the rendered
     numerator stays positive; times_three wraps the denominator in 3(...).
@@ -72,16 +62,12 @@ def _fraction(numerator: int, s: int, times_three: bool = False) -> str:
     if numerator == 0:
         return "0"
     if numerator < 0:
-        top, bottom = -numerator, _z_minus_s(s)
+        top, bottom = -numerator, z_minus_s
     else:
-        top, bottom = numerator, _s_minus_z(s)
+        top, bottom = numerator, s_minus_z
     if times_three:
         return f"{top}/(3({bottom}))"
     return f"{top}/({bottom})"
-
-
-def _z_minus_s_coefficient(s: int) -> str:
-    return "Z" if s == 0 else f"({_z_minus_s(s)})"
 
 
 def _quadratic_text(k: int, constant: int) -> str:
@@ -110,9 +96,14 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     def add(label: str, equation_text: str, note: str) -> None:
         steps.append(TraceStep(len(steps) + 1, label, equation_text, note))
 
+    s_minus_z = "-Z" if s == 0 else f"{s} - Z"
+    z_minus_s = f"Z{_term(-s)}"
+    z_minus_s_coefficient = "Z" if s == 0 else f"({z_minus_s})"
+    reduced, remainder = divmod(d0, 3)
+
     add(
         "rearrange-linear",
-        f"X + Y = {_s_minus_z(s)}",
+        f"X + Y = {s_minus_z}",
         "Isolate the pivot Z in the sum constraint.",
     )
     add(
@@ -124,20 +115,20 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     divide_lhs = f"X^2 + Y^2 - XY - Z^2{_term(-s, 'Z')}{_term(-s * s)}"
     add(
         "divide",
-        f"{divide_lhs} = {_fraction(d0, s)}",
+        f"{divide_lhs} = {_fraction(d0, s_minus_z, z_minus_s)}",
         "X^3 + Y^3 factors as (X + Y)(X^2 - XY + Y^2), so dividing the two "
         "rearranged constraints leaves a polynomial plus this remainder term.",
     )
 
-    substitute_lhs = f"X^2 + {_z_minus_s_coefficient(s)}X{_term(-s, 'Z')}"
-    if d0 % 3 == 0:
-        substitute_rhs = _fraction(d0 // 3, s)
+    substitute_lhs = f"X^2 + {z_minus_s_coefficient}X{_term(-s, 'Z')}"
+    if remainder == 0:
+        substitute_rhs = _fraction(reduced, s_minus_z, z_minus_s)
     else:
-        substitute_rhs = _fraction(d0, s, times_three=True)
+        substitute_rhs = _fraction(d0, s_minus_z, z_minus_s, times_three=True)
     add(
         "substitute",
         f"{substitute_lhs} = {substitute_rhs}",
-        f"Substituting Y = {_s_minus_z(s)} - X collapses the identity to a "
+        f"Substituting Y = {s_minus_z} - X collapses the identity to a "
         "quadratic in X alone.",
     )
 
@@ -156,11 +147,10 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         return steps
 
-    reduced, remainder = divmod(d0, 3)
     if remainder == 0:
         add(
             "divisibility",
-            f"{_z_minus_s_coefficient(s)} | {abs(reduced)}",
+            f"{z_minus_s_coefficient} | {abs(reduced)}",
             "The left side of the quadratic is an integer for integer X, so "
             "the remainder must be an integer as well.",
         )
@@ -168,18 +158,16 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             "Each admissible pivot value comes from one signed divisor of "
             f"{d0} that is a multiple of 3."
         )
-        ks = reversed(signed_divisors(reduced))
     else:
         add(
             "divisibility",
-            f"3({_s_minus_z(s)}) | {d0}",
-            f"3({_s_minus_z(s)}) is a multiple of 3 but {d0} is not, so no "
+            f"3({s_minus_z}) | {d0}",
+            f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
             "integer Z is admissible.",
         )
         candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
-        ks = ()
 
-    pivots = list(_pivot_pass(s, reduced, ks))
+    pivots = list(_pivot_pass(s, reduced, _admissible_ks(d0)))
     candidate_list = ", ".join(str(z) for z, _, _, _, _ in pivots)
     add("candidates", f"Z in {{{candidate_list}}}", candidates_note)
 

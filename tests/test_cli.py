@@ -20,12 +20,32 @@ UNFACTORED_C = "3000108000297"
 # about 1.26e6, lies above the trial limit, and the cofactor left there is
 # composite, so solve cannot prove its divisor list complete either
 UNCERTIFIED_C = 6 * 1000003 * 1000033 * 1000037
+# a sum whose 1501 digits pass Python's 4300-digit int<->str cap only in
+# the values derived from it, and a cube sum past the cap itself
+HUGE_S = 10**1500 + 7
+HUGE_C = 10**4399 + 1
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """The CLI run as its own process, the way its entry point starts it."""
+    return subprocess.run(
+        [sys.executable, "-m", "cubetriples", *argv], capture_output=True, text=True
+    )
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an n >= 0 past this process's int->str digit cap."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
 
 
 class TestSolveCommand:
@@ -235,7 +255,8 @@ class TestScanCommand:
             "--out", str(tmp_path / "missing" / "r.jsonl"),
         )
         assert code == 1
-        assert "cannot open output file" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cubetriples scan: cannot open output file: ")
 
     @pytest.mark.parametrize("target_exists", [True, False], ids=["existing", "dangling"])
     def test_symlinked_out_writes_the_target(self, capsys, tmp_path, target_exists):
@@ -295,12 +316,47 @@ class TestScanCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestPastTheDigitCap:
+    """Values derived from a flag outgrow it: d0 = c - s^3 has three times
+    the digits of s.  Each run checks its output as text, since this test
+    process keeps the digit cap."""
+
+    def test_trace_of_huge_sum(self):
+        ran = run_module("trace", "--sum", str(HUGE_S), "--cubes", "0")
+        assert (ran.returncode, ran.stderr) == (0, "")
+        lines = ran.stdout.splitlines()
+        assert lines[0] == f" 1. [rearrange-linear] X + Y = {HUGE_S} - Z"
+        assert lines[8] == f" 5. [divisibility] 3({HUGE_S} - Z) | -{_decimal(HUGE_S**3)}"
+        assert lines[12] == " 7. [solutions] (X, Y, Z) in {}"
+
+    def test_scan_of_huge_sum(self, tmp_path):
+        out_file = tmp_path / "r.jsonl"
+        ran = run_module(
+            "scan", "--sum-range", f"{HUGE_S}:{HUGE_S}", "--cubes-range", "0:0", "--out", str(out_file)
+        )
+        assert (ran.returncode, ran.stderr) == (0, "")
+        assert ran.stdout == "1 systems: 0 finite, 1 empty, 0 infinite-family\n"
+        bound = _decimal(HUGE_S + HUGE_S**3 // 3)
+        assert out_file.read_text() == (
+            f'{{"s":{HUGE_S},"c":0,"kind":"finite","solution_count":0,"bound_used":{bound}}}\n'
+        )
+
+    def test_solve_failure_on_huge_sum_is_one_line(self):
+        # d0/3 = -9 * HUGE_S^3: its cap lies far above the trial limit
+        ran = run_module("solve", "--sum", str(3 * HUGE_S), "--cubes", "0")
+        assert (ran.returncode, ran.stdout) == (1, "")
+        assert len(ran.stderr.splitlines()) == 1
+        n = _decimal(9 * HUGE_S**3)
+        assert ran.stderr.startswith(f"cubetriples solve: incomplete factorization of -{n}: ")
+
+    def test_flag_past_the_digit_cap(self):
+        ran = run_module("trace", "--sum", "0", "--cubes", _decimal(HUGE_C))
+        assert (ran.returncode, ran.stderr) == (0, "")
+        assert ran.stdout.splitlines()[2] == f" 2. [rearrange-cubic] X^3 + Y^3 = {_decimal(HUGE_C)} - Z^3"
+
+
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "cubetriples", "solve", "--sum", "3", "--cubes", "3"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module("solve", "--sum", "3", "--cubes", "3")
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "(-5, 4, 4)"
 

@@ -185,6 +185,15 @@ class TestFactorize:
         assert type(copy) is IncompleteFactorizationError
         assert (copy.n, copy.cofactor, str(copy)) == (error.n, error.cofactor, str(error))
 
+    def test_error_past_the_digit_cap_builds_and_pickles(self):
+        # n has more digits than int->str converts by default, so the
+        # message must not be formatted until the error is shown
+        n = 10**5000 + 1
+        error = IncompleteFactorizationError(n, 7)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is IncompleteFactorizationError
+        assert (copy.n, copy.cofactor, copy.args) == (n, 7, (n, 7))
+
     @given(st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0))
     def test_reconstruction_is_identity(self, n):
         fac = factorize(n)

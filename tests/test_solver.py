@@ -296,6 +296,14 @@ class TestSolve:
             solve(TripleSystem(0, 6 * 1000003 * 1000033 * 1000037))
         assert excinfo.value.cofactor == 1000003 * 1000033 * 1000037
 
+    def test_incomplete_factorization_past_the_digit_cap(self):
+        # d0/3 = -9m^3 has over 4300 digits, too many for int->str by
+        # default; the error carries it unformatted instead of failing
+        m = 10**1500 + 7
+        with pytest.raises(IncompleteFactorizationError) as excinfo:
+            solve(TripleSystem(3 * m, 0))
+        assert excinfo.value.n == -9 * m**3
+
     def test_deterministic_output(self):
         a = solve(SYS33)
         b = solve(SYS33)
