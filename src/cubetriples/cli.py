@@ -12,8 +12,10 @@ leaves it as it finds it.  Exit codes:
    "cubetriples <command>: ": an unwritable output path, a scan --out that
    exists and is not a regular file, or a d0 whose divisors up to the
    cube-root cap cannot be proven complete (for trace, whose full
-   factorization cannot).  scan writes to a temporary file beside the file
-   --out resolves to and renames it there only on success, so a failed scan
+   factorization cannot).  The line names --out as given; a number in it
+   with more than 40 digits is shortened to its first and last 8 digits and
+   its digit count.  scan writes to a temporary file beside the file --out
+   resolves to and renames it there only on success, so a failed scan
    leaves no partial output.
 2  a usage error.
 """
@@ -118,14 +120,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # never replace a FIFO, device or directory with a regular file
     out = os.path.realpath(args.out)
     if os.path.exists(out) and not os.path.isfile(out):
-        print(f"cubetriples scan: --out {args.out} is not a regular file", file=sys.stderr)
-        return 1
+        raise OSError(f"--out {args.out} is not a regular file")
     partial = f"{out}.{os.getpid()}.tmp"
     try:
         sink = open(partial, "x", encoding="utf-8")
     except OSError as exc:
-        print(f"cubetriples scan: cannot open output file: {exc}", file=sys.stderr)
-        return 1
+        raise OSError(f"cannot open output file: {args.out}: {exc.strerror}") from exc
     try:
         with sink:
             for record in scan_grid(

@@ -42,9 +42,28 @@ class IncompleteFactorizationError(ValueError):
         # formatted only when shown, so building, raising or pickling the
         # error never converts a huge n to decimal
         return (
-            f"incomplete factorization of {self.n}: cofactor {self.cofactor} "
-            f"is not certified prime within the trial limit"
+            f"incomplete factorization of {_short_decimal(self.n)}: cofactor "
+            f"{_short_decimal(self.cofactor)} is not certified prime within the trial limit"
         )
+
+
+def _short_decimal(n: int) -> str:
+    """n in decimal when it has at most 40 digits, else its first and last
+    8 digits and its digit count, e.g. '12345678...90123456 (4501 digits)'.
+
+    Found with integer arithmetic alone, so it stays one short line and
+    never meets Python's int->str digit cap.
+    """
+    m = abs(n)
+    if m < 10**40:
+        return str(n)
+    # 2^(b-1) <= m < 2^b for b = bit_length, so this is at most the digit
+    # count and at most 2 below it
+    digits = int((m.bit_length() - 1) * math.log10(2))
+    while 10**digits <= m:
+        digits += 1
+    sign = "-" if n < 0 else ""
+    return f"{sign}{m // 10 ** (digits - 8)}...{m % 10**8:08d} ({digits} digits)"
 
 
 @dataclass(frozen=True)

@@ -52,26 +52,18 @@ def _term(coefficient: int, symbol: str = "") -> str:
     return f"{sign}{magnitude}{symbol}"
 
 
-def _fraction(numerator: int, s_minus_z: str, z_minus_s: str, times_three: bool = False) -> str:
-    """Sign-simplified remainder fraction numerator / (s - Z), given the
-    rendered s - Z and Z - s.
+def _fraction(numerator: int, over: str, flipped: str) -> str:
+    """Sign-simplified fraction numerator / (over), given the rendered
+    denominator over and its negation flipped.
 
-    Negative numerators flip the denominator to Z - s so the rendered
-    numerator stays positive; times_three wraps the denominator in 3(...).
+    Negative numerators take the flipped denominator so the rendered
+    numerator stays positive.
     """
     if numerator == 0:
         return "0"
     if numerator < 0:
-        top, bottom = -numerator, z_minus_s
-    else:
-        top, bottom = numerator, s_minus_z
-    if times_three:
-        return f"{top}/(3({bottom}))"
-    return f"{top}/({bottom})"
-
-
-def _quadratic_text(k: int, constant: int) -> str:
-    return f"X^2{_term(-k, 'X')}{_term(-constant)} = 0"
+        return f"{-numerator}/({flipped})"
+    return f"{numerator}/({over})"
 
 
 def format_triple(triple: Triple) -> str:
@@ -100,6 +92,27 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     z_minus_s = f"Z{_term(-s)}"
     z_minus_s_coefficient = "Z" if s == 0 else f"({z_minus_s})"
     reduced, remainder = divmod(d0, 3)
+    # 3 | d0 decides the substituted remainder, the divisibility step and
+    # whether any pivot is admissible
+    if remainder == 0:
+        substitute_rhs = _fraction(reduced, s_minus_z, z_minus_s)
+        divisibility = (
+            f"{z_minus_s_coefficient} | {abs(reduced)}",
+            "The left side of the quadratic is an integer for integer X, so "
+            "the remainder must be an integer as well.",
+        )
+        candidates_note = (
+            "Each admissible pivot value comes from one signed divisor of "
+            f"{d0} that is a multiple of 3."
+        )
+    else:
+        substitute_rhs = _fraction(d0, f"3({s_minus_z})", f"3({z_minus_s})")
+        divisibility = (
+            f"3({s_minus_z}) | {d0}",
+            f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
+            "integer Z is admissible.",
+        )
+        candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
 
     add(
         "rearrange-linear",
@@ -121,10 +134,6 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     )
 
     substitute_lhs = f"X^2 + {z_minus_s_coefficient}X{_term(-s, 'Z')}"
-    if remainder == 0:
-        substitute_rhs = _fraction(reduced, s_minus_z, z_minus_s)
-    else:
-        substitute_rhs = _fraction(d0, s_minus_z, z_minus_s, times_three=True)
     add(
         "substitute",
         f"{substitute_lhs} = {substitute_rhs}",
@@ -147,26 +156,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         return steps
 
-    if remainder == 0:
-        add(
-            "divisibility",
-            f"{z_minus_s_coefficient} | {abs(reduced)}",
-            "The left side of the quadratic is an integer for integer X, so "
-            "the remainder must be an integer as well.",
-        )
-        candidates_note = (
-            "Each admissible pivot value comes from one signed divisor of "
-            f"{d0} that is a multiple of 3."
-        )
-    else:
-        add(
-            "divisibility",
-            f"3({s_minus_z}) | {d0}",
-            f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
-            "integer Z is admissible.",
-        )
-        candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
-
+    add("divisibility", *divisibility)
     pivots = list(_pivot_pass(s, reduced, _admissible_ks(d0)))
     candidate_list = ", ".join(str(z) for z, _, _, _, _ in pivots)
     add("candidates", f"Z in {{{candidate_list}}}", candidates_note)
@@ -182,7 +172,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             note = f"Discriminant {discriminant} is negative, so Z = {z} is rejected."
         else:
             note = f"Discriminant {discriminant} is not a perfect square, so Z = {z} is rejected."
-        add(f"candidate Z = {z}", _quadratic_text(k, constant), note)
+        add(f"candidate Z = {z}", f"X^2{_term(-k, 'X')}{_term(-constant)} = 0", note)
 
     add(
         "solutions",

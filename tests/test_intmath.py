@@ -193,6 +193,19 @@ class TestFactorize:
         copy = pickle.loads(pickle.dumps(error))
         assert type(copy) is IncompleteFactorizationError
         assert (copy.n, copy.cofactor, copy.args) == (n, 7, (n, 7))
+        # shown, n is shortened to its ends and digit count, never converted
+        message = str(copy)
+        assert len(message) < 200 and "\n" not in message
+        assert message.startswith("incomplete factorization of 10000000...00000001 (5001 digits): ")
+        assert str(IncompleteFactorizationError(-(10**5000) - 1, 7)).startswith(
+            "incomplete factorization of -10000000...00000001 (5001 digits): "
+        )
+        # values of at most 40 digits print in full
+        for n, cofactor in ((-3000108000297, 1000003 * 1000033), (10**40 - 1, -(10**39))):
+            assert str(IncompleteFactorizationError(n, cofactor)) == (
+                f"incomplete factorization of {n}: cofactor {cofactor} "
+                "is not certified prime within the trial limit"
+            )
 
     @given(st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0))
     def test_reconstruction_is_identity(self, n):

@@ -1,8 +1,10 @@
 """Tests for the reduction solver."""
 
 import hashlib
+import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -78,6 +80,44 @@ def _quadratic_roots_by_scan(candidate: CandidateZ, system: TripleSystem) -> lis
         for x in range(-radius, radius + 1)
         if x * x - candidate.k * x - constant == 0
     ]
+
+
+def _solutions_by_bisection(system: TripleSystem) -> tuple[Triple, ...]:
+    """The sorted solutions of a non-degenerate system, found without any
+    divisor, factoring, discriminant or square root.
+
+    Every solution has a coordinate w with 0 < |a| <= L = icbrt(|d0/3|),
+    a = s - w (the identity in the solver docstring), and its other two
+    coordinates are x <= a/2 and a - x.  g(x) = x^3 + (a - x)^3 is strictly
+    monotone on x <= a/2, falling for a > 0 and rising for a < 0, so
+    bisection finds the one x, if any, with g(x) = c - w^3.
+    """
+    s, c = system.s, system.c
+    cap = icbrt(abs(system.d0) // 3)
+    found: set[tuple[int, int, int]] = set()
+    for a in range(-cap, cap + 1):
+        if a == 0:
+            continue
+        w = s - a
+        # h(x) = sign * g(x) rises strictly on x <= a/2, toward -inf leftward
+        sign = -1 if a > 0 else 1
+        target = sign * (c - w**3)
+        hi = a // 2
+        if sign * (hi**3 + (a - hi) ** 3) < target:
+            continue
+        lo, step = hi, 1
+        while sign * (lo**3 + (a - lo) ** 3) > target:
+            lo, step = hi - step, 2 * step
+        # h(lo) <= target <= h(hi): find the largest x with h(x) <= target
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if sign * (mid**3 + (a - mid) ** 3) <= target:
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo**3 + (a - lo) ** 3 == c - w**3:
+            found.update(itertools.permutations((lo, a - lo, w)))
+    return tuple(Triple(*t) for t in sorted(found))
 
 
 class TestCandidateZs:
@@ -353,6 +393,38 @@ class TestSolve:
             return
         expected = brute_force(system, completeness_bound(system))
         assert list(solve(system).triples) == expected
+
+
+class TestDivisorFreeCrossCheck:
+    """solve against _solutions_by_bisection, which shares no divisor or
+    factoring code with it, also where |d0| is far beyond the oracle's reach."""
+
+    def test_small_grid(self):
+        for s in range(-12, 13):
+            for c in range(-120, 121):
+                system = TripleSystem(s, c)
+                if not system.degenerate:
+                    assert solve(system).triples == _solutions_by_bisection(system), (s, c)
+
+    def test_planted_triples(self):
+        rng = random.Random(20121)
+        for _ in range(30):
+            x, y, z = (rng.randint(-3000, 3000) for _ in range(3))
+            system = TripleSystem(x + y + z, x**3 + y**3 + z**3)
+            if system.degenerate:
+                continue
+            triples = _solutions_by_bisection(system)
+            assert Triple(x, y, z) in triples
+            assert solve(system).triples == triples, (x, y, z)
+
+    def test_cap_up_to_ten_thousand(self):
+        # |d0/3| in [10^11, 10^12], so the pivot cap L lies in [4641, 10^4]
+        rng = random.Random(20122)
+        for _ in range(10):
+            s = rng.randint(-50, 50)
+            m = rng.choice((1, -1)) * rng.randint(10**11, 10**12)
+            system = TripleSystem(s, s**3 + 3 * m)
+            assert solve(system).triples == _solutions_by_bisection(system), (s, m)
 
 
 class TestSolutionSetJson:
