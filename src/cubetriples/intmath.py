@@ -7,8 +7,8 @@ there is no overflow anywhere in the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import isqrt  # re-exported: floor square root, ValueError below 0
+from typing import NamedTuple
 
 __all__ = [
     "Factorization",
@@ -66,8 +66,7 @@ def _short_decimal(n: int) -> str:
     return f"{sign}{m // 10 ** (digits - 8)}...{m % 10**8:08d} ({digits} digits)"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Sign and prime-power decomposition of a nonzero integer.
 
     ``factors`` is sorted by prime ascending; reconstructing

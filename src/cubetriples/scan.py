@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .solver import Triple, _bound, _solve_finite
 
@@ -28,8 +27,7 @@ SPAN_POINTS = 512
 TASKS_PER_WORKER = 2
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Classification of one grid point; finite-only fields are None for
     the infinite-family kind and are omitted from serialized records."""
 
@@ -41,13 +39,11 @@ class ScanRecord:
     bound_used: int | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"s": self.s, "c": self.c, "kind": self.kind}
-        if self.solution_count is not None:
-            out["solution_count"] = self.solution_count
+        """Every field that is not None, in declaration order, with the
+        solutions as lists."""
+        out = {name: value for name, value in zip(self._fields, self) if value is not None}
         if self.solutions is not None:
-            out["solutions"] = [list(t.as_tuple()) for t in self.solutions]
-        if self.bound_used is not None:
-            out["bound_used"] = self.bound_used
+            out["solutions"] = [list(t) for t in self.solutions]
         return out
 
 

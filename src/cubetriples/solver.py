@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .intmath import _divisors_up_to, icbrt, signed_divisors
 
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(NamedTuple):
     """One problem instance: target sum s and target cube sum c."""
 
     s: int
@@ -62,8 +60,7 @@ class TripleSystem:
         return self.d0 == 0
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(NamedTuple):
     """An ordered integer triple (x, y, z); ordering is lexicographic."""
 
     x: int
@@ -71,14 +68,13 @@ class Triple:
     z: int
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
+        return tuple(self)
 
     def permutations(self) -> set["Triple"]:
-        return {Triple(*p) for p in itertools.permutations(self.as_tuple())}
+        return {Triple(*p) for p in itertools.permutations(self)}
 
 
-@dataclass(frozen=True)
-class CandidateZ:
+class CandidateZ(NamedTuple):
     """An admissible pivot value z with its derived quantities.
 
     k = s - z is a signed divisor of d0/3, and d = d0 / (3k) is the exact
@@ -90,8 +86,7 @@ class CandidateZ:
     d: int
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """Either a finite, sorted, permutation-closed list of triples, or a
     symbolic descriptor of the infinite family (all permutations of
     (s, t, -t) over every integer t)."""
@@ -113,7 +108,7 @@ class SolutionSet:
             assert self.triples is not None
             return {
                 "kind": "finite",
-                "solutions": [list(t.as_tuple()) for t in self.triples],
+                "solutions": [list(t) for t in self.triples],
             }
         return {"kind": "infinite_family", "family_anchor": self.family_anchor}
 
@@ -130,7 +125,7 @@ class SolutionSet:
 
 def verify(triple: Triple, system: TripleSystem) -> bool:
     """True iff the triple satisfies both constraints exactly."""
-    x, y, z = triple.as_tuple()
+    x, y, z = triple
     return x + y + z == system.s and x**3 + y**3 + z**3 == system.c
 
 

@@ -9,8 +9,8 @@ are diff-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import NamedTuple
 
 from .solver import SolutionSet, Triple, TripleSystem, _admissible_ks, _closure, _pivot_pass
 
@@ -25,8 +25,7 @@ __all__ = [
 RENDER_FORMATS = ("plain", "markdown", "structured-records")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     label: str
     equation_text: str

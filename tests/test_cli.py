@@ -416,6 +416,27 @@ def test_process_pool_not_loaded_outside_parallel_scan():
     assert not loaded & set(pool_modules)
 
 
+def test_dataclasses_and_inspect_not_loaded():
+    heavy = {"dataclasses", "inspect"}
+    probe = (
+        "import sys; before = set(sys.modules); import cubetriples; "
+        f"print(sorted({heavy!r} & (set(sys.modules) - before)))"
+    )
+    imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert imported.stdout == "[]\n"
+
+    # -X importtime ends each line with the imported module's name; what the
+    # bare interpreter loads at startup (a site hook, say) does not count
+    def loaded(*args: str) -> set[str]:
+        run = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+        assert run.returncode == 0
+        return {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+
+    solved = loaded("-m", "cubetriples", "solve", "--sum", "3", "--cubes", "3")
+    assert "cubetriples.cli" in solved
+    assert not (solved - loaded("-c", "pass")) & heavy
+
+
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
