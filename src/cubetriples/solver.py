@@ -20,6 +20,14 @@ gives d0/3 = -(s - X)(s - Y)(s - Z) for every solution, three nonzero factors
 whose smallest, |s - W|, has |s - W|^3 <= |d0/3|.  So the pivot Z = W finds
 the solution, and closing under the coordinate permutations finds its every
 ordering.
+
+The sign rule halves those pivots once the cap is large against |s|.  Write
+N = d0/3 and L = icbrt(|N|).  The pivot k (z = s - k) has discriminant
+D(k) = (k - 2s)^2 + 4N/k.  For k of the sign opposite to N's, 4N/k is
+-4|N|/|k| and (k - 2s)^2 <= (|k| + 2|s|)^2, so
+|k| * D(k) <= |k|(|k| + 2|s|)^2 - 4|N|.  Since t(t + 2|s|)^2 rises with t and
+|k| <= L, every such pivot has D(k) < 0, hence no root, whenever
+L(L + 2|s|)^2 < 4|N|.  Then only the divisors with the sign of N are tested.
 """
 
 from __future__ import annotations
@@ -146,8 +154,9 @@ def _admissible_ks(d0: int) -> Iterable[int]:
 def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     """Every admissible pivot z, sorted ascending, with k = s - z from
     _admissible_ks.  The list holds every admissible pivot, including those
-    with |k| > icbrt(|d0/3|) that solve() skips: every solution has a
-    coordinate z with |s - z|^3 <= |d0/3| (see the module docstring).
+    solve() skips: the ones with |k| > icbrt(|d0/3|), since every solution
+    has a coordinate z with |s - z|^3 <= |d0/3|, and the ones the sign rule
+    proves rootless (see the module docstring).
     """
     d0 = system.d0
     if d0 == 0:
@@ -225,8 +234,14 @@ def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
     if d0 % 3 != 0:
         return ()
     reduced = d0 // 3
-    divisors = _divisors_up_to(reduced, icbrt(abs(reduced)))
-    pivots = _pivot_pass(s, reduced, divisors + [-d for d in divisors])
+    cap = icbrt(abs(reduced))
+    divisors = _divisors_up_to(reduced, cap)
+    if cap * (cap + 2 * abs(s)) ** 2 < 4 * abs(reduced):
+        # the sign rule: no pivot of the sign opposite to reduced has a root
+        ks = divisors if reduced > 0 else [-d for d in divisors]
+    else:
+        ks = divisors + [-d for d in divisors]
+    pivots = _pivot_pass(s, reduced, ks)
     return _closure(s, ((z, roots) for z, _, _, _, roots in pivots if roots))
 
 
@@ -240,8 +255,10 @@ def solve(system: TripleSystem) -> SolutionSet:
     There are no admissible pivots unless 3 | d0.  Every solution
     satisfies d0/3 = -(s - x)(s - y)(s - z), so one of its coordinates z has
     |s - z|^3 <= |d0/3| (see the module docstring): only the positive
-    divisors d <= L = icbrt(|d0/3|) are generated, unordered, each is tested
-    as k = d and k = -d, and the permutation closure restores the rest.
+    divisors d <= L = icbrt(|d0/3|) are generated, unordered, and each is
+    tested as k = d and k = -d, or only with the sign of d0/3 when
+    L(L + 2|s|)^2 < 4|d0/3| proves the other sign rootless (the sign rule in
+    the module docstring); the permutation closure restores the rest.
     Trial division up to min(L, 10^6), and a certified-prime cofactor when
     L is larger, proves that divisor list complete.
     """

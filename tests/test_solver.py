@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubetriples.intmath import IncompleteFactorizationError, icbrt
+from cubetriples import solver
+from cubetriples.intmath import IncompleteFactorizationError, icbrt, signed_divisors
 from cubetriples.oracle import brute_force
 from cubetriples.solver import (
     CandidateZ,
@@ -18,6 +19,7 @@ from cubetriples.solver import (
     Triple,
     TripleSystem,
     _closure,
+    _pivot_pass,
     candidate_zs,
     completeness_bound,
     solve,
@@ -67,6 +69,78 @@ smooth_systems = st.builds(
         unique=True,
     ),
 )
+
+
+def _system_of(triple: Triple) -> TripleSystem:
+    return TripleSystem(sum(triple), sum(v**3 for v in triple))
+
+
+def _planted_small_sum_triples() -> list[Triple]:
+    """30 triples (x, y, s - x - y) with |s| <= 50 and |x|, |y| <= 3000 whose
+    systems are not degenerate; the cap is then large against |s|, so the
+    sign rule applies."""
+    rng = random.Random(20123)
+    found = []
+    while len(found) < 30:
+        s = rng.randint(-50, 50)
+        x, y = rng.randint(-3000, 3000), rng.randint(-3000, 3000)
+        triple = Triple(x, y, s - x - y)
+        if not _system_of(triple).degenerate:
+            found.append(triple)
+    return found
+
+
+PLANTED_SMALL_SUM = _planted_small_sum_triples()
+
+
+def _sign_rule_applies(system: TripleSystem) -> bool:
+    """L(L + 2|s|)^2 < 4|N| with N = d0/3 and L = icbrt(|N|): the condition
+    under which the sign rule of the solver docstring skips every pivot of
+    the sign opposite to N's."""
+    if system.d0 % 3 != 0:
+        return False
+    n = abs(system.d0 // 3)
+    cap = icbrt(n)
+    return cap * (cap + 2 * abs(system.s)) ** 2 < 4 * n
+
+
+def _divisors_inside_cap(system: TripleSystem) -> list[int]:
+    """The positive divisors d <= icbrt(|d0/3|) of d0/3, from the full
+    signed divisor list rather than the solver's capped generator."""
+    n = system.d0 // 3
+    cap = icbrt(abs(n))
+    return [d for d in signed_divisors(n) if 0 < d <= cap]
+
+
+def _assert_opposite_sign_pivots_rootless(system: TripleSystem) -> None:
+    n = system.d0 // 3
+    opposite = [-d if n > 0 else d for d in _divisors_inside_cap(system)]
+    for _, k, _, discriminant, _ in _pivot_pass(system.s, n, opposite):
+        assert discriminant < 0, (system, k)
+
+
+def _count_pivots_fed(monkeypatch) -> list[int]:
+    """Wrap solver._pivot_pass; the returned list collects the number of
+    pivots each call is fed."""
+    fed: list[int] = []
+    original = solver._pivot_pass
+
+    def counting(s, reduced, ks):
+        ks = list(ks)
+        fed.append(len(ks))
+        return original(s, reduced, ks)
+
+    monkeypatch.setattr(solver, "_pivot_pass", counting)
+    return fed
+
+
+def _every_pivot_fold(system: TripleSystem) -> SolutionSet:
+    return SolutionSet.finite(
+        _closure(
+            system.s,
+            ((cand.z, solve_quadratic_for_x(cand, system)) for cand in candidate_zs(system)),
+        )
+    )
 
 
 def _quadratic_roots_by_scan(candidate: CandidateZ, system: TripleSystem) -> list[int]:
@@ -232,6 +306,63 @@ class TestSolveQuadraticForX:
             triple = Triple(x, s - cand.z - x, cand.z)
             assert triple in found
             assert min(abs(s - w) for w in triple.as_tuple()) <= cap, triple
+
+
+class TestSignRule:
+    """The inequality behind solve()'s sign rule, checked pivot by pivot
+    whatever solve() does, and solve() at the rule's exact boundary."""
+
+    def test_opposite_sign_pivots_rootless_on_sweep(self):
+        fired = 0
+        for s in range(-30, 31):
+            for c in range(-600, 601):
+                system = TripleSystem(s, c)
+                if not system.degenerate and _sign_rule_applies(system):
+                    _assert_opposite_sign_pivots_rootless(system)
+                    fired += 1
+        assert fired
+
+    @settings(deadline=None)
+    @given(smooth_systems)
+    def test_opposite_sign_pivots_rootless_on_smooth_d0(self, system):
+        if _sign_rule_applies(system):
+            _assert_opposite_sign_pivots_rootless(system)
+
+    def test_opposite_sign_pivots_rootless_on_planted_systems(self):
+        for triple in PLANTED_SMALL_SUM:
+            system = _system_of(triple)
+            assert _sign_rule_applies(system), system
+            _assert_opposite_sign_pivots_rootless(system)
+
+    @pytest.mark.parametrize(
+        "s,c,solutions,applies",
+        [
+            # L(L + 2|s|)^2 = 2 * 6^2 = 72 = 4|N| exactly: the rule must not apply
+            (2, 62, 9, False),
+            (-2, -62, 9, False),
+            # 15 * 31^2 = 14415 < 4|N| = 14416: the rule applies by a margin of one
+            (8, 11324, 6, True),
+            (-8, -11324, 6, True),
+        ],
+    )
+    def test_boundary(self, monkeypatch, s, c, solutions, applies):
+        system = TripleSystem(s, c)
+        assert _sign_rule_applies(system) is applies
+        fed = _count_pivots_fed(monkeypatch)
+        result = solve(system)
+        divisors = len(_divisors_inside_cap(system))
+        assert fed == [divisors if applies else 2 * divisors]
+        assert len(result.triples) == solutions
+        assert result == _every_pivot_fold(system)
+        assert result.triples == _solutions_by_bisection(system)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pivot_count_on_primorial_47(self, monkeypatch, sign):
+        primorial = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+        system = TripleSystem(0, sign * 3 * primorial)
+        fed = _count_pivots_fed(monkeypatch)
+        solve(system)
+        assert fed == [len(_divisors_inside_cap(system))]
 
 
 class TestCompletenessBound:
@@ -416,6 +547,15 @@ class TestDivisorFreeCrossCheck:
             triples = _solutions_by_bisection(system)
             assert Triple(x, y, z) in triples
             assert solve(system).triples == triples, (x, y, z)
+
+    def test_planted_triples_with_small_sum(self):
+        # |s| <= 50 against coordinates up to 3000: solve() applies the sign
+        # rule on every one of these systems
+        for planted in PLANTED_SMALL_SUM:
+            system = _system_of(planted)
+            triples = _solutions_by_bisection(system)
+            assert planted in triples
+            assert solve(system).triples == triples, planted
 
     def test_cap_up_to_ten_thousand(self):
         # |d0/3| in [10^11, 10^12], so the pivot cap L lies in [4641, 10^4]
