@@ -4,6 +4,8 @@ import itertools
 import math
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,8 @@ from cubetriples.intmath import (
     TRIAL_LIMIT,
     IncompleteFactorizationError,
     _divisors_up_to,
+    _prime_blocks,
+    _prime_powers,
     _proven_prime,
     factorize,
     icbrt,
@@ -405,3 +409,162 @@ def test_proven_prime_matches_sympy():
     for _ in range(3000):
         n = rng.randrange(10**12, 10**25) | 1
         assert _proven_prime(n) == (sympy.isprime(n) and n < _MR_PROVEN_BOUND), n
+
+
+def _prime_powers_by_candidates(n: int, limit: int) -> list[tuple[int, int]]:
+    """Reference: _prime_powers's cofactor rule on trial division by every
+    6j +- 1 up to min(limit, TRIAL_LIMIT), with no blocks of primes."""
+    m = abs(n)
+    stop = min(limit, TRIAL_LIMIT)
+    factors: list[tuple[int, int]] = []
+
+    def peel(p: int) -> None:
+        nonlocal m
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
+
+    if m % 2 == 0:
+        peel(2)
+    if m % 3 == 0:
+        peel(3)
+    p = 5
+    while p * p <= m:
+        if p > stop:
+            if limit <= TRIAL_LIMIT:
+                return factors
+            if not _proven_prime(m):
+                raise IncompleteFactorizationError(n, m)
+            break
+        if m % p == 0:
+            peel(p)
+        if m % (p + 2) == 0:
+            peel(p + 2)
+        p += 6
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
+def _outcome(f, *args):
+    """("ok", f(*args)), sorted when it is a list, or ("raised", (n, cofactor))."""
+    try:
+        result = f(*args)
+    except IncompleteFactorizationError as error:
+        return "raised", (error.n, error.cofactor)
+    return "ok", sorted(result) if isinstance(result, list) else result
+
+
+def _divisors_of(pairs, limit):
+    """The sorted divisors up to limit of the product of the prime powers."""
+    divisors = [1]
+    for p, e in pairs:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted(d for d in divisors if d <= limit)
+
+
+# the first and last prime of blocks 0, 1, 2 and 305 of the table
+BLOCK_EDGES = (1031, 2969, 2971, 5113, 5119, 7411, 996631, 999983)
+
+BLOCK_CASES = [
+    1031**3 * 999983,
+    -(1031**3) * 999983**2,
+    2 * 3**2 * 1021 * 1031**2 * 2971,
+    1033 * 1039,  # two primes of block 0 above the limit 1031
+    -6 * 2999 * 3001,  # two primes of block 1 above the limit 2971
+    2969 * 2971**2 * 5113,
+    5119**3 * 7411,
+    -(5113**2) * 996631,
+    996631**3,
+    1031 * 5113 * 996631 * 999983,
+    -7 * 1000003 * 1000033,
+    999983 * (10**12 + 39),
+]
+
+
+@pytest.mark.parametrize("n", BLOCK_CASES)
+def test_block_division_matches_the_candidate_loop(n):
+    # factorize, the divisors up to each limit and every raised (n, cofactor)
+    # are those of trial division by every 6j +- 1
+    sign = 1 if n > 0 else -1
+    kind, factorization = _outcome(factorize, n)
+    assert (kind, factorization) == _outcome(
+        lambda: Factorization(sign, tuple(_prime_powers_by_candidates(n, abs(n))))
+    )
+    primes = {p for p, _ in factorization.factors} if kind == "ok" else set()
+    limits = {1021, 1024, 1025, *BLOCK_EDGES, 10**6, 10**6 + 1, icbrt(abs(n)), abs(n)}
+    for limit in sorted(limits):
+        kind, expected = _outcome(_prime_powers_by_candidates, n, limit)
+        if kind == "raised":
+            assert _outcome(_divisors_up_to, n, limit) == (kind, expected), (n, limit)
+            continue
+        assert sorted(_divisors_up_to(n, limit)) == _divisors_of(expected, limit), (n, limit)
+        # the primes up to stop are those of the candidate loop, and past
+        # max(stop, 1021) only the one kept cofactor is listed, a prime of n
+        stop = min(limit, TRIAL_LIMIT)
+        pairs = _prime_powers(n, limit)
+        assert [pe for pe in pairs if pe[0] <= stop] == [pe for pe in expected if pe[0] <= stop], (n, limit)
+        tried = [pe for pe in pairs if pe[0] <= max(stop, 1021)]
+        rest = pairs[len(tried) :]
+        assert pairs[: len(tried)] == tried
+        assert rest in ([], [(abs(n) // math.prod(p**e for p, e in tried), 1)]), (n, limit)
+        assert all(p in primes for p, _ in rest), (n, limit)
+
+
+def _primes_by_sieve(limit: int) -> list[int]:
+    is_prime = [True] * (limit + 1)
+    is_prime[0] = is_prime[1] = False
+    for p in range(2, isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+    return list(itertools.compress(range(limit + 1), is_prime))
+
+
+def _blocks_of(primes):
+    runs = [primes[i : i + 256] for i in range(0, len(primes), 256)]
+    return tuple((run[0], run[-1], math.prod(run)) for run in runs)
+
+
+class TestPrimeBlocks:
+    def test_blocks_hold_every_prime_from_1031_to_999983(self):
+        primes = [p for p in _primes_by_sieve(TRIAL_LIMIT) if p > 1023]
+        # pi(10^6) - pi(1023) = 78498 - 172
+        assert len(primes) == 78326
+        blocks = _prime_blocks()
+        assert len(blocks) == 306
+        assert [block[:2] for block in (*blocks[:3], blocks[-1])] == list(zip(BLOCK_EDGES[::2], BLOCK_EDGES[1::2]))
+        assert blocks == _blocks_of(primes)
+
+    def test_blocks_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        # the sieve's primerange: sympy.primerange is about 15 times slower here
+        assert _prime_blocks() == _blocks_of(list(sympy.sieve.primerange(1025, TRIAL_LIMIT + 1)))
+
+    def test_table_is_built_on_first_use(self):
+        # import, small systems, the smooth primorial-47 system and the trace
+        # goldens never try a prime above 1021; a cofactor past 1025^2 does
+        probe = """
+import math
+import cubetriples
+from cubetriples import intmath
+from cubetriples.solver import TripleSystem, solve
+from cubetriples.trace import derive_trace
+built = [intmath._blocks is not None]
+for s in range(-5, 6):
+    for c in range(-200, 201):
+        solve(TripleSystem(s, c))
+built.append(intmath._blocks is not None)
+solve(TripleSystem(0, 3 * math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))))
+built.append(intmath._blocks is not None)
+for s, c in [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]:
+    derive_trace(TripleSystem(s, c))
+built.append(intmath._blocks is not None)
+solve(TripleSystem(0, 3 * (10**12 + 39)))
+built.append(intmath._blocks is not None)
+print(*built)
+"""
+        ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert ran.returncode == 0, ran.stderr
+        assert ran.stdout.split() == ["False"] * 4 + ["True"]

@@ -557,6 +557,30 @@ class TestDivisorFreeCrossCheck:
             assert planted in triples
             assert solve(system).triples == triples, planted
 
+    @pytest.mark.parametrize(
+        "s, a, b",
+        [
+            (0, 1031, 1033),
+            (-50, 1031, 2969),
+            (17, 2969, 2971),
+            (50, 2971, 1039),
+            (-3, 5113, 1031),
+            (29, 5119, 1049),
+            (-41, 7411, 1051),
+            (8, 2971, 5113),
+        ],
+    )
+    def test_planted_offsets_from_the_prime_blocks(self, s, a, b):
+        # the offsets s - x = a and s - y = b are primes past 1021, among
+        # them the first and last of the first three blocks of 256 primes,
+        # and the cap lies in [1300, 4967]: trial division finds them by a
+        # gcd with a block's product
+        planted = Triple(s - a, s - b, a + b - s)
+        system = _system_of(planted)
+        triples = _solutions_by_bisection(system)
+        assert planted in triples
+        assert solve(system).triples == triples, planted
+
     def test_cap_up_to_ten_thousand(self):
         # |d0/3| in [10^11, 10^12], so the pivot cap L lies in [4641, 10^4]
         rng = random.Random(20122)
