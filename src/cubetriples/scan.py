@@ -51,16 +51,23 @@ def record_to_json(record: ScanRecord) -> str:
     """The record as compact JSON: json.dumps(record.to_json_dict(),
     separators=(",", ":")) byte for byte, for a kind that needs no escaping
     ("finite" or "infinite_family")."""
-    line = f'{{"s":{record.s},"c":{record.c},"kind":"{record.kind}"'
-    if record.solution_count is not None:
-        line += f',"solution_count":{record.solution_count}'
-    solutions = record.solutions
+    s, c, kind, count, solutions, bound = record
     if solutions is not None:
         # most points have none, and skipping the join for them is cheaper
-        triples = ",".join([f"[{t.x},{t.y},{t.z}]" for t in solutions]) if solutions else ""
+        triples = ",".join([f"[{x},{y},{z}]" for x, y, z in solutions]) if solutions else ""
+        if count is not None and bound is not None:
+            # the finite record scan_grid yields with include_solutions
+            return (
+                f'{{"s":{s},"c":{c},"kind":"{kind}","solution_count":{count},'
+                f'"solutions":[{triples}],"bound_used":{bound}}}'
+            )
+    line = f'{{"s":{s},"c":{c},"kind":"{kind}"'
+    if count is not None:
+        line += f',"solution_count":{count}'
+    if solutions is not None:
         line += f',"solutions":[{triples}]'
-    if record.bound_used is not None:
-        line += f',"bound_used":{record.bound_used}'
+    if bound is not None:
+        line += f',"bound_used":{bound}'
     return line + "}"
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .intmath import _divisors_up_to, icbrt, signed_divisors
 
@@ -167,30 +167,44 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     return [CandidateZ(z=system.s - k, k=k, d=d0 // (3 * k)) for k in _admissible_ks(d0)]
 
 
+def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:
+    """The discriminant (k - 2s)^2 + 4*(reduced // k) of each pivot k, in the
+    order of ks.
+
+    k runs over divisors of reduced = d0/3 and z = s - k.  The pivot's
+    quadratic is X^2 - k*X - constant = 0 with constant = s*z + d0/(3k), and
+    k^2 + 4*constant expands to this.  This is the one place the
+    discriminant is computed.
+    """
+    s2 = 2 * s
+    return [(k - s2) ** 2 + 4 * (reduced // k) for k in ks]
+
+
+def _roots(k: int, discriminant: int) -> tuple[int, ...]:
+    """The ascending integer roots of X^2 - k*X - constant = 0 from its
+    discriminant k^2 + 4*constant: empty when that is negative or not a
+    square."""
+    root = math.isqrt(discriminant) if discriminant >= 0 else -1
+    if root * root != discriminant:
+        return ()
+    if root:
+        # discriminant = k^2 (mod 4), so root = k (mod 2) and both roots are integers
+        return ((k - root) // 2, (k + root) // 2)
+    return (k // 2,)
+
+
 def _pivot_pass(
     s: int, reduced: int, ks: Iterable[int]
-) -> Iterator[tuple[int, int, int, int, tuple[int, ...]]]:
-    """Each pivot's (z, k, constant, discriminant, roots), in the order of ks.
-
-    k runs over divisors of reduced = d0/3, z = s - k, and the quadratic is
-    X^2 - k*X - constant = 0 with constant = s*z + d0/(3k); roots are its
-    ascending integer roots, empty when the discriminant k^2 + 4*constant
-    is negative or not a square.  This is the one place the discriminant is
-    computed.
-    """
-    for k in ks:
-        z = s - k
-        constant = s * z + reduced // k
-        discriminant = k * k + 4 * constant
-        root = math.isqrt(discriminant) if discriminant >= 0 else -1
-        if root * root != discriminant:
-            roots = ()
-        elif root:
-            # discriminant = k^2 (mod 4), so root = k (mod 2) and both roots are integers
-            roots = ((k - root) // 2, (k + root) // 2)
-        else:
-            roots = (k // 2,)
-        yield z, k, constant, discriminant, roots
+) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
+    """Each pivot's (z, k, constant, discriminant, roots), in the order of ks,
+    with the discriminant from _discriminants, the constant s*z + d0/(3k)
+    recovered from it exactly (it is k^2 + 4*constant), and the roots from
+    _roots."""
+    ks = list(ks)
+    return [
+        (s - k, k, (discriminant - k * k) // 4, discriminant, _roots(k, discriminant))
+        for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
+    ]
 
 
 def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[int]:
@@ -198,7 +212,7 @@ def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[i
     when the discriminant k^2 + 4(s*z + d) is negative or not a square.
     The candidate is one of candidate_zs(system), so k*d = d0/3."""
     k = candidate.k
-    return list(next(_pivot_pass(system.s, k * candidate.d, (k,)))[4])
+    return list(_pivot_pass(system.s, k * candidate.d, (k,))[0][4])
 
 
 def _closure(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> tuple[Triple, ...]:
@@ -241,8 +255,14 @@ def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
         ks = divisors if reduced > 0 else [-d for d in divisors]
     else:
         ks = divisors + [-d for d in divisors]
-    pivots = _pivot_pass(s, reduced, ks)
-    return _closure(s, ((z, roots) for z, _, _, _, roots in pivots if roots))
+    hits = [
+        (k, discriminant)
+        for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
+        if discriminant >= 0 and math.isqrt(discriminant) ** 2 == discriminant
+    ]
+    if not hits:
+        return ()
+    return _closure(s, [(s - k, _roots(k, discriminant)) for k, discriminant in hits])
 
 
 def solve(system: TripleSystem) -> SolutionSet:
@@ -259,8 +279,10 @@ def solve(system: TripleSystem) -> SolutionSet:
     tested as k = d and k = -d, or only with the sign of d0/3 when
     L(L + 2|s|)^2 < 4|d0/3| proves the other sign rootless (the sign rule in
     the module docstring); the permutation closure restores the rest.
-    Trial division up to min(L, 10^6), and a certified-prime cofactor when
-    L is larger, proves that divisor list complete.
+    For L up to 128 the divisors are found by dividing d0/3 by every
+    k <= L.  Above that, trial division of d0/3 up to min(L, 10^6), and a
+    certified-prime cofactor when L is larger, proves the divisor list
+    complete.
     """
     d0 = system.d0
     if d0 == 0:

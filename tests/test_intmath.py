@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubetriples.intmath import (
+    _DIRECT_LIMIT,
     _MR_PROVEN_BOUND,
     Factorization,
     TRIAL_LIMIT,
@@ -326,6 +327,23 @@ class TestDivisorsUpTo:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             _divisors_up_to(0, 10)
+
+    @pytest.mark.parametrize("limit", [_DIRECT_LIMIT - 1, _DIRECT_LIMIT, _DIRECT_LIMIT + 1])
+    def test_either_side_of_the_direct_limit(self, limit):
+        # up to _DIRECT_LIMIT the divisors come from dividing by every d up
+        # to the limit, one past it from trial division of n
+        values = [
+            1,
+            113, 127, 131, 137,  # primes around the direct limit
+            2**7, 2**20, 127**3, 3 * 43, 11 * 13, 360,  # prime powers and products near it
+            12, 120,  # |n| below the limit, 120 with 16 divisors
+            math.factorial(40),  # 48 digits, divisible by every d up to 40
+            10**45 + 7 * 131,
+        ]
+        for n in values:
+            expected = [d for d in range(1, limit + 1) if n % d == 0]
+            for signed in (n, -n):
+                assert sorted(_divisors_up_to(signed, limit)) == expected, (signed, limit)
 
     def test_cofactor_above_the_limit_is_dropped(self):
         # both primes lie above the trial limit, and above the limit too, so

@@ -26,6 +26,7 @@ from cubetriples.solver import (
     solve_quadratic_for_x,
     verify,
 )
+from cubetriples.trace import derive_trace
 
 SYS33 = TripleSystem(3, 3)
 
@@ -120,17 +121,17 @@ def _assert_opposite_sign_pivots_rootless(system: TripleSystem) -> None:
 
 
 def _count_pivots_fed(monkeypatch) -> list[int]:
-    """Wrap solver._pivot_pass; the returned list collects the number of
+    """Wrap solver._discriminants; the returned list collects the number of
     pivots each call is fed."""
     fed: list[int] = []
-    original = solver._pivot_pass
+    original = solver._discriminants
 
     def counting(s, reduced, ks):
         ks = list(ks)
         fed.append(len(ks))
         return original(s, reduced, ks)
 
-    monkeypatch.setattr(solver, "_pivot_pass", counting)
+    monkeypatch.setattr(solver, "_discriminants", counting)
     return fed
 
 
@@ -363,6 +364,22 @@ class TestSignRule:
         fed = _count_pivots_fed(monkeypatch)
         solve(system)
         assert fed == [len(_divisors_inside_cap(system))]
+
+
+class TestOneDiscriminant:
+    def test_every_pivot_test_reaches_the_one_formula(self, monkeypatch):
+        # solve, the trace and solve_quadratic_for_x all test pivots, and each
+        # must get its discriminants from solver._discriminants; candidate_zs
+        # only lists the pivots
+        fed = _count_pivots_fed(monkeypatch)
+        candidates = candidate_zs(SYS33)
+        assert fed == []
+        assert len(solve(SYS33).triples) == 4
+        assert len(fed) == 1
+        assert len(derive_trace(SYS33)) > 0
+        assert len(fed) == 2
+        assert solve_quadratic_for_x(candidates[0], SYS33) == [4]
+        assert fed[2:] == [1]
 
 
 class TestCompletenessBound:
