@@ -11,12 +11,11 @@ leaves it as it finds it.  Exit codes:
 1  a runtime failure, reported as one stderr line that starts with
    "cubetriples <command>: ": an unwritable output path, a scan --out that
    exists and is not a regular file, or a d0 whose divisors up to the
-   cube-root cap cannot be proven complete (for trace, whose full
-   factorization cannot).  The line names --out as given; a number in it
-   with more than 40 digits is shortened to its first and last 8 digits and
-   its digit count.  scan writes to a temporary file beside the file --out
-   resolves to and renames it there only on success, so a failed scan
-   leaves no partial output.
+   cube-root cap cannot be proven complete.  The line names --out as
+   given; a number in it with more than 40 digits is shortened to its first
+   and last 8 digits and its digit count.  scan writes to a temporary file
+   beside the file --out resolves to and renames it there only on success,
+   so a failed scan leaves no partial output.
 2  a usage error.
 """
 

@@ -137,23 +137,13 @@ def verify(triple: Triple, system: TripleSystem) -> bool:
     return x + y + z == system.s and x**3 + y**3 + z**3 == system.c
 
 
-def _admissible_ks(d0: int) -> Iterable[int]:
-    """k = s - z for every admissible pivot z of a system with d0 = c - s^3
-    != 0, descending, so that z comes out ascending.
+def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
+    """Every admissible pivot z, sorted ascending, with k = s - z.
 
     z is admissible iff z != s and 3(s - z) divides d0; these are the only
     values any solution coordinate can take in a non-degenerate system.  So
     there are none unless 3 | d0, and otherwise k runs over the signed
-    divisors of d0/3.
-    """
-    if d0 % 3 != 0:
-        return ()
-    return reversed(signed_divisors(d0 // 3))
-
-
-def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
-    """Every admissible pivot z, sorted ascending, with k = s - z from
-    _admissible_ks.  The list holds every admissible pivot, including those
+    divisors of d0/3.  The list holds every admissible pivot, including those
     solve() skips: the ones with |k| > icbrt(|d0/3|), since every solution
     has a coordinate z with |s - z|^3 <= |d0/3|, and the ones the sign rule
     proves rootless (see the module docstring).
@@ -164,7 +154,28 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
             f"system (s={system.s}, c={system.c}) is degenerate (c = s^3); "
             f"solve() handles this case"
         )
-    return [CandidateZ(z=system.s - k, k=k, d=d0 // (3 * k)) for k in _admissible_ks(d0)]
+    if d0 % 3 != 0:
+        return []
+    reduced = d0 // 3
+    return [CandidateZ(z=system.s - k, k=k, d=reduced // k) for k in reversed(signed_divisors(reduced))]
+
+
+def _tested_ks(s: int, reduced: int) -> tuple[int, bool, list[int]]:
+    """(L, one_sign, ks) for the system with sum s and d0 = 3 * reduced != 0:
+    the cap L = icbrt(|reduced|), whether the sign rule applies, and the
+    pivots k = s - z that solve() and derive_trace test, in no particular
+    order.
+
+    ks holds each divisor d <= L of reduced as k = d and k = -d, or only with
+    the sign of reduced when L(L + 2|s|)^2 < 4|reduced| (one_sign; the sign
+    rule in the module docstring).  This is the one place that rule is
+    applied.
+    """
+    cap = icbrt(abs(reduced))
+    divisors = _divisors_up_to(reduced, cap)
+    if cap * (cap + 2 * abs(s)) ** 2 < 4 * abs(reduced):
+        return cap, True, divisors if reduced > 0 else [-d for d in divisors]
+    return cap, False, divisors + [-d for d in divisors]
 
 
 def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:
@@ -248,13 +259,7 @@ def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
     if d0 % 3 != 0:
         return ()
     reduced = d0 // 3
-    cap = icbrt(abs(reduced))
-    divisors = _divisors_up_to(reduced, cap)
-    if cap * (cap + 2 * abs(s)) ** 2 < 4 * abs(reduced):
-        # the sign rule: no pivot of the sign opposite to reduced has a root
-        ks = divisors if reduced > 0 else [-d for d in divisors]
-    else:
-        ks = divisors + [-d for d in divisors]
+    _, _, ks = _tested_ks(s, reduced)
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
-from .solver import SolutionSet, Triple, TripleSystem, _admissible_ks, _closure, _pivot_pass
+from .solver import SolutionSet, Triple, TripleSystem, _closure, _pivot_pass, _tested_ks
 
 __all__ = [
     "RENDER_FORMATS",
@@ -79,7 +79,20 @@ def format_solution_set(solution_set: SolutionSet) -> str:
 
 
 def derive_trace(system: TripleSystem) -> list[TraceStep]:
-    """The full derivation for the instance, in fixed step order."""
+    """The full derivation for the instance, in fixed step order.
+
+    Four steps reduce the system to one quadratic in X per pivot Z.  With
+    d0 = c - s^3 = 0 a factor step and the infinite family follow.
+    Otherwise the divisibility step decides whether 3 | d0, and when it
+    does, two steps state the proof solve() runs: the cap step gives
+    d0/3 = -(s - X)(s - Y)(s - Z) and the bound |Z - s| <= L = icbrt(|d0/3|),
+    and the sign step, present only when L(L + 2|s|)^2 < 4|d0/3|, shows that
+    no pivot with s - Z of the sign opposite to d0/3's has a root.  The
+    candidates step then lists, with z ascending, exactly the pivots solve()
+    tests, from the same solver._tested_ks, one step per pivot follows, and
+    the solutions step closes the roots under the permutations.  So the
+    trace raises IncompleteFactorizationError exactly where solve() does.
+    """
     s, c = system.s, system.c
     d0 = system.d0
     steps: list[TraceStep] = []
@@ -87,7 +100,8 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     def add(label: str, equation_text: str, note: str) -> None:
         steps.append(TraceStep(len(steps) + 1, label, equation_text, note))
 
-    s_minus_z = "-Z" if s == 0 else f"{s} - Z"
+    s_minus = "-" if s == 0 else f"{s} - "
+    s_minus_z = f"{s_minus}Z"
     z_minus_s = f"Z{_term(-s)}"
     z_minus_s_coefficient = "Z" if s == 0 else f"({z_minus_s})"
     reduced, remainder = divmod(d0, 3)
@@ -100,10 +114,6 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             "The left side of the quadratic is an integer for integer X, so "
             "the remainder must be an integer as well.",
         )
-        candidates_note = (
-            "Each admissible pivot value comes from one signed divisor of "
-            f"{d0} that is a multiple of 3."
-        )
     else:
         substitute_rhs = _fraction(d0, f"3({s_minus_z})", f"3({z_minus_s})")
         divisibility = (
@@ -111,7 +121,6 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
             "integer Z is admissible.",
         )
-        candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
 
     add(
         "rearrange-linear",
@@ -156,7 +165,39 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         return steps
 
     add("divisibility", *divisibility)
-    pivots = list(_pivot_pass(s, reduced, _admissible_ks(d0)))
+    if remainder:
+        ks = []
+        candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
+    else:
+        cap, one_sign, ks = _tested_ks(s, reduced)
+        add(
+            "cap",
+            f"{reduced} = -({s_minus}X)({s_minus}Y)({s_minus}Z), |{z_minus_s}| <= {cap}",
+            "Since (X + Y + Z)^3 - X^3 - Y^3 - Z^3 = 3(X + Y)(Y + Z)(Z + X) and "
+            f"X + Y = {s_minus_z}, every solution makes {reduced} this product of "
+            "three nonzero factors.  The factor of least absolute value has cube "
+            f"at most {abs(reduced)}, so each solution has a coordinate Z with "
+            f"|{z_minus_s}| <= {cap}, and closing under the permutations finds "
+            "its other orderings.",
+        )
+        if one_sign:
+            tested, rootless = ("<", ">") if reduced > 0 else (">", "<")
+            add(
+                "sign",
+                f"{cap}({cap}{_term(2 * abs(s))})^2 < {4 * abs(reduced)}, so Z {tested} {s}",
+                f"When k = {s_minus_z} and {reduced} have opposite signs, the "
+                f"discriminant (k - 2s)^2 + 4({reduced})/k is at most "
+                f"(|k| + 2|s|)^2 - {4 * abs(reduced)}/|k|, which is negative for "
+                f"every |k| <= {cap}, since t(t + 2|s|)^2 rises with t.  So no "
+                f"pivot with Z {rootless} {s} has a root.",
+            )
+        sign_clause = f", with the sign of {reduced}" if one_sign else ""
+        candidates_note = (
+            f"Each tested pivot has {s_minus_z} equal to a divisor of {reduced} "
+            f"of absolute value at most {cap}{sign_clause}."
+        )
+        ks.sort(reverse=True)
+    pivots = _pivot_pass(s, reduced, ks)
     candidate_list = ", ".join(str(z) for z, _, _, _, _ in pivots)
     add("candidates", f"Z in {{{candidate_list}}}", candidates_note)
 

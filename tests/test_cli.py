@@ -14,12 +14,12 @@ from cubetriples.solver import SolutionSet, TripleSystem, solve
 
 
 # s = 0, c = 3 * 1000003 * 1000033: both primes lie just above the trial
-# limit, so d0 cannot be factored completely; solve needs only its divisors
-# up to the cube-root cap 10**4, but trace lists every divisor
+# limit, so d0 cannot be factored completely; solve and trace need only its
+# divisors up to the cube-root cap 10**4
 UNFACTORED_C = "3000108000297"
 # s = 0, c = 6 * 1000003 * 1000033 * 1000037: the cube-root cap of d0/3,
 # about 1.26e6, lies above the trial limit, and the cofactor left there is
-# composite, so solve cannot prove its divisor list complete either
+# composite, so neither solve nor trace can prove its divisor list complete
 UNCERTIFIED_C = 6 * 1000003 * 1000033 * 1000037
 # a sum whose 1501 digits pass Python's 4300-digit int<->str cap only in
 # the values derived from it, and a cube sum past the cap itself
@@ -149,7 +149,7 @@ class TestTraceCommand:
         assert code == 0
         assert "8/(Z - 3)" in out
         assert "24/(Z - 3)" in out
-        assert "-5" in out and "-1" in out
+        assert "[candidates] Z in {1, 2, 4, 5}" in out
 
     def test_default_format_is_plain(self, capsys):
         _, default_out, _ = run_cli(capsys, "trace", "--sum", "3", "--cubes", "3")
@@ -175,8 +175,13 @@ class TestTraceCommand:
             main(["trace", "--sum", "3", "--cubes", "3", "--format", "html"])
         assert excinfo.value.code == 2
 
+    def test_cap_below_trial_limit_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--sum", "0", "--cubes", UNFACTORED_C)
+        assert code == 0
+        assert out.splitlines()[-2] == "10. [solutions] (X, Y, Z) in {}"
+
     def test_incomplete_factorization_is_one_line(self, capsys):
-        code, out, err = run_cli(capsys, "trace", "--sum", "0", "--cubes", UNFACTORED_C)
+        code, out, err = run_cli(capsys, "trace", "--sum", "0", "--cubes", str(UNCERTIFIED_C))
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1

@@ -499,6 +499,11 @@ BLOCK_CASES = [
     1031 * 5113 * 996631 * 999983,
     -7 * 1000003 * 1000033,
     999983 * (10**12 + 39),
+    # primes less than 64 past the first prime of blocks 0, 1 and 305, where
+    # a limit just past them tries the block without a gcd
+    1031 * 1091 * 1093**2 * 1097 * 999983,
+    -3 * 2999 * 3023 * 3037,
+    996637 * 996689 * (10**12 + 39),
 ]
 
 
@@ -512,7 +517,9 @@ def test_block_division_matches_the_candidate_loop(n):
         lambda: Factorization(sign, tuple(_prime_powers_by_candidates(n, abs(n))))
     )
     primes = {p for p, _ in factorization.factors} if kind == "ok" else set()
-    limits = {1021, 1024, 1025, *BLOCK_EDGES, 10**6, 10**6 + 1, icbrt(abs(n)), abs(n)}
+    # stops a little past the first prime of every other block
+    straddles = {first + offset for first in BLOCK_EDGES[::2] for offset in (62, 63, 64, 65)}
+    limits = {1021, 1024, 1025, *BLOCK_EDGES, *straddles, 10**6, 10**6 + 1, icbrt(abs(n)), abs(n)}
     for limit in sorted(limits):
         kind, expected = _outcome(_prime_powers_by_candidates, n, limit)
         if kind == "raised":

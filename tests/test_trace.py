@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubetriples.solver import TripleSystem, candidate_zs, solve
+from cubetriples.intmath import IncompleteFactorizationError
+from cubetriples.solver import TripleSystem, solve
 from cubetriples.trace import (
     RENDER_FORMATS,
     derive_trace,
@@ -20,19 +22,52 @@ from cubetriples.trace import (
 DATA = Path(__file__).parent / "data"
 
 # Together these cover s = 0, s < 0 and s > 0, d0 of either sign, 3 not
-# dividing d0, the degenerate case with s = 0 and s != 0, and every
-# per-pivot note: double root, two roots, negative discriminant, non-square.
+# dividing d0, the degenerate case with s = 0 and s != 0, the cap step with
+# and without the sign step, and every per-pivot note: double root, two
+# roots, negative discriminant, non-square.
 GOLDEN_SYSTEMS = [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]
 GOLDEN_EXTENSIONS = {"plain": "txt", "markdown": "md", "structured-records": "jsonl"}
 
 # SHA-256 of every rendering, in RENDER_FORMATS order, of the systems
 # s in [-6, 6], c in [-150, 150] followed by six with d0/3 = +-2*5*7*...*23,
-# whose 512 pivots lie mostly outside the cube-root cap
+# whose 256 positive divisors lie mostly above the cube-root cap 420
 SMOOTH_D0_OVER_3 = 2 * 5 * 7 * 11 * 13 * 17 * 19 * 23
 SWEEP_SYSTEMS = [TripleSystem(s, c) for s in range(-6, 7) for c in range(-150, 151)] + [
     TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3) for s in (-3, 0, 5) for sign in (1, -1)
 ]
-SWEEP_SHA256 = "5d2e714b588553c33ca93058d9b25a23d6495a3d8ebefa57c13d85027b25e8e4"
+SWEEP_SHA256 = "34de3ea685a49f6c5e2d6eb61d69ed3610a0b67527c02da1834dc46740c89de0"
+# d0/3 = +-SMOOTH_D0_OVER_3 again: the sign rule applies at |s| = 200
+# (420 * 820^2 < 4 * SMOOTH_D0_OVER_3) and not at |s| = 250
+SIGN_EDGE_SYSTEMS = [
+    TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3) for s in (-250, -200, 200, 250) for sign in (1, -1)
+]
+PRIMES_TO_47 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _cube_root_floor(n: int) -> int:
+    """The largest L >= 0 with L^3 <= n, by stepping from a float estimate."""
+    cap = round(n ** (1 / 3))
+    while cap**3 > n:
+        cap -= 1
+    while (cap + 1) ** 3 <= n:
+        cap += 1
+    return cap
+
+
+def _tested_pivots(system: TripleSystem) -> tuple[bool, list[int]]:
+    """Whether the sign rule applies, and the ascending pivots Z = s - k that
+    solve tests, found without the solver: every k with k | d0/3 and
+    |k|^3 <= |d0/3| by dividing d0/3 by each candidate, then only the k with
+    the sign of d0/3 when L(L + 2|s|)^2 < 4|d0/3|."""
+    if system.d0 % 3:
+        return False, []
+    n = system.d0 // 3
+    cap = _cube_root_floor(abs(n))
+    ks = [k for d in range(1, cap + 1) if n % d == 0 for k in (d, -d)]
+    one_sign = cap * (cap + 2 * abs(system.s)) ** 2 < 4 * abs(n)
+    if one_sign:
+        ks = [k for k in ks if (k > 0) == (n > 0)]
+    return one_sign, sorted(system.s - k for k in ks)
 
 systems = st.builds(
     TripleSystem,
@@ -48,22 +83,20 @@ class TestDeriveTrace:
         assert "8/(Z - 3)" in text
 
     def test_known_instance_candidates_shown(self):
+        # the pivots with |Z - 3| <= 2; Z = -5 (k = 8) lies past the cap, and
+        # (4, 4, -5) comes from closing (4, -5, 4) under the permutations
         text = render(derive_trace(TripleSystem(3, 3)), "plain")
-        assert "-5" in text
-        assert "-1" in text
+        assert " 7. [candidates] Z in {1, 2, 4, 5}\n" in text
+        assert "(4, 4, -5)" in text
 
     def test_step_order(self):
-        labels = [step.label for step in derive_trace(TripleSystem(3, 3))]
-        assert labels[:6] == [
-            "rearrange-linear",
-            "rearrange-cubic",
-            "divide",
-            "substitute",
-            "divisibility",
-            "candidates",
-        ]
-        assert all(label.startswith("candidate Z = ") for label in labels[6:-1])
-        assert labels[-1] == "solutions"
+        head = ["rearrange-linear", "rearrange-cubic", "divide", "substitute", "divisibility", "cap"]
+        # the sign rule does not apply to (3, 3) and does to (0, 3)
+        for system, fixed in ((TripleSystem(3, 3), head), (TripleSystem(0, 3), head + ["sign"])):
+            labels = [step.label for step in derive_trace(system)]
+            assert labels[: len(fixed) + 1] == fixed + ["candidates"]
+            assert all(label.startswith("candidate Z = ") for label in labels[len(fixed) + 1 : -1])
+            assert labels[-1] == "solutions"
 
     def test_indices_are_sequential(self):
         trace = derive_trace(TripleSystem(3, 3))
@@ -88,14 +121,59 @@ class TestDeriveTrace:
         trace = derive_trace(TripleSystem(0, 1000036000099))
         assert trace[-1].equation_text == "(X, Y, Z) in {}"
 
-    @given(systems)
-    def test_candidates_step_matches_solver(self, system):
-        if system.degenerate:
-            return
+    def test_candidates_step_matches_solver(self):
+        # the candidates step lists exactly the pivots solve tests, the sign
+        # step appears exactly when the sign rule applies, and the trace ends
+        # with solve's set
+        for system in SWEEP_SYSTEMS + SIGN_EDGE_SYSTEMS:
+            if system.degenerate:
+                continue
+            trace = derive_trace(system)
+            one_sign, pivots = _tested_pivots(system)
+            step = next(s for s in trace if s.label == "candidates")
+            assert step.equation_text == f"Z in {{{', '.join(map(str, pivots))}}}", system
+            assert any(s.label == "sign" for s in trace) == one_sign, system
+            assert trace[-1].equation_text == format_solution_set(solve(system)), system
+        assert [_tested_pivots(system)[0] for system in SIGN_EDGE_SYSTEMS] == [False] * 2 + [True] * 4 + [False] * 2
+
+    def test_primorial_47_steps_are_the_tested_pivots(self):
+        # d0/3 = 2*3*5*...*47 has 32768 positive divisors; with s = 0 the sign
+        # rule applies, so the trace holds one step per positive divisor up
+        # to the cap and 9 fixed steps
+        system = TripleSystem(0, 3 * math.prod(PRIMES_TO_47))
+        cap = _cube_root_floor(math.prod(PRIMES_TO_47))
+        divisors = [1]
+        for p in PRIMES_TO_47:
+            divisors += [d * p for d in divisors if d * p <= cap]
         trace = derive_trace(system)
-        step = next(s for s in trace if s.label == "candidates")
-        listed = ", ".join(str(c.z) for c in candidate_zs(system))
-        assert step.equation_text == f"Z in {{{listed}}}"
+        assert len(trace) == len(divisors) + 9
+        assert [step.label for step in trace[4:8]] == ["divisibility", "cap", "sign", "candidates"]
+        assert trace[-1].equation_text == format_solution_set(solve(system))
+
+    @pytest.mark.parametrize(
+        ("c", "expected"),
+        [
+            (3000108000297, None),  # d0/3 = 1000003 * 1000033, cap 10^4
+            # cap past the trial limit, composite cofactor
+            (6 * 1000003 * 1000033 * 1000037, (2 * 1000003 * 1000033 * 1000037, 1000003 * 1000033 * 1000037)),
+            (24 * 1000003 * 1000033 * 1000037, (8 * 1000003 * 1000033 * 1000037, 1000003 * 1000033 * 1000037)),
+            # cap 1000003, the cofactor 1000003^3 left at the trial limit
+            (3 * 1000003**3, (1000003**3, 1000003**3)),
+            (3 * (10**19 + 51), None),  # a prime past the trial limit, certified by Miller-Rabin
+        ],
+    )
+    def test_raises_exactly_where_solve_raises(self, c, expected):
+        # None when the call answers, else the raised (n, cofactor)
+        system = TripleSystem(0, c)
+        outcomes = []
+        for f in (solve, derive_trace):
+            try:
+                f(system)
+            except IncompleteFactorizationError as error:
+                outcomes.append((error.n, error.cofactor))
+            else:
+                outcomes.append(None)
+        assert outcomes == [expected, expected]
 
     @given(systems)
     def test_final_step_matches_solver(self, system):
