@@ -6,6 +6,7 @@ there is no overflow anywhere in the library.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from math import isqrt  # re-exported: floor square root, ValueError below 0
@@ -34,8 +35,6 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 # every odd composite in a block has a prime factor tried before the block.
 _BLOCK_START = 1025
 _BLOCK_PRIMES = 256
-# (first, last, product) of each block, built on first use by _prime_blocks
-_blocks: tuple[tuple[int, int, int], ...] | None = None
 
 # _divisors_up_to divides n by every d up to a limit of at most this, rather
 # than factoring n; see its docstring for the measured crossover.
@@ -153,30 +152,29 @@ def icbrt(n: int) -> int:
         x = y
 
 
+@functools.cache
 def _prime_blocks() -> tuple[tuple[int, int, int], ...]:
     """(first, last, product) for each run of _BLOCK_PRIMES consecutive
     primes from _BLOCK_START to TRIAL_LIMIT, ascending; the last run may be
     shorter.
 
     Built on the first call from an odd-only sieve, streamed in runs so that
-    no list of all the primes exists, and published by one assignment.
+    no list of all the primes exists, and cached: later calls return the
+    same tuple.
     """
-    global _blocks
-    if _blocks is None:
-        half = (TRIAL_LIMIT + 1) // 2
-        sieve = bytearray([1]) * half  # sieve[i]: whether 2i + 1 is prime
-        for i in range(1, (isqrt(TRIAL_LIMIT) + 1) // 2):
-            if sieve[i]:
-                start, step = 2 * i * (i + 1), 2 * i + 1  # (2i + 1)^2 = 2 * start + 1
-                sieve[start::step] = bytes(len(range(start, half, step)))
-        primes = itertools.compress(
-            range(_BLOCK_START, TRIAL_LIMIT + 1, 2), memoryview(sieve)[_BLOCK_START // 2 :]
-        )
-        blocks = []
-        while run := list(itertools.islice(primes, _BLOCK_PRIMES)):
-            blocks.append((run[0], run[-1], math.prod(run)))
-        _blocks = tuple(blocks)
-    return _blocks
+    half = (TRIAL_LIMIT + 1) // 2
+    sieve = bytearray([1]) * half  # sieve[i]: whether 2i + 1 is prime
+    for i in range(1, (isqrt(TRIAL_LIMIT) + 1) // 2):
+        if sieve[i]:
+            start, step = 2 * i * (i + 1), 2 * i + 1  # (2i + 1)^2 = 2 * start + 1
+            sieve[start::step] = bytes(len(range(start, half, step)))
+    primes = itertools.compress(
+        range(_BLOCK_START, TRIAL_LIMIT + 1, 2), memoryview(sieve)[_BLOCK_START // 2 :]
+    )
+    blocks = []
+    while run := list(itertools.islice(primes, _BLOCK_PRIMES)):
+        blocks.append((run[0], run[-1], math.prod(run)))
+    return tuple(blocks)
 
 
 def _prime_powers(n: int, limit: int) -> list[tuple[int, int]]:

@@ -1,14 +1,15 @@
 """Batch sweep of a rectangular (s, c) grid.
 
 Every grid point is classified independently (solver calls are pure).  One
-row worker, _row, classifies the points of one row of fixed s on plain ints.
-The worker count is first capped at the number of row spans of at most
-SPAN_POINTS points and at the CPU count (1 when that is unknown).  With one
-worker, scan_grid yields its records one at a time in the calling process.
-With more, a pool of that many processes classifies the spans, at most
-TASKS_PER_WORKER spans per process are in flight at once, and the spans'
-records are yielded in submission order.  Either way the stream is in
-(s, c) ascending order and identical at every worker count.
+row worker, _row, classifies the points of one span of a row of fixed s on
+plain ints.  The worker count is first capped at the number of row spans of
+at most SPAN_POINTS points and at the CPU count (1 when that is unknown).
+Every worker count walks the same spans in the same order.  With one
+worker, scan_grid yields their records one at a time in the calling
+process.  With more, a pool of that many processes classifies the spans, at
+most TASKS_PER_WORKER spans per process are in flight at once, and the
+spans' records are yielded in submission order.  Either way the stream is
+in (s, c) ascending order and identical at every worker count.
 """
 
 from __future__ import annotations
@@ -110,18 +111,19 @@ def scan_grid(
     # more than can be busy at once; a pool of one would only add pickling
     span_count = (s_max - s_min + 1) * -(-(c_max - c_min + 1) // SPAN_POINTS)
     workers = min(workers, span_count, os.cpu_count() or 1)
-    if workers == 1:
-        for s in range(s_min, s_max + 1):
-            yield from _row(s, c_min, c_max, include_solutions)
-        return
-    # imported here so that importing the package never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    # the one (s, c) order both paths walk
     spans = (
         (s, lo, min(lo + SPAN_POINTS - 1, c_max))
         for s in range(s_min, s_max + 1)
         for lo in range(c_min, c_max + 1, SPAN_POINTS)
     )
+    if workers == 1:
+        for span in spans:
+            yield from _row(*span, include_solutions)
+        return
+    # imported here so that importing the package never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     in_flight = TASKS_PER_WORKER * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()

@@ -204,26 +204,13 @@ def _roots(k: int, discriminant: int) -> tuple[int, ...]:
     return (k // 2,)
 
 
-def _pivot_pass(
-    s: int, reduced: int, ks: Iterable[int]
-) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
-    """Each pivot's (z, k, constant, discriminant, roots), in the order of ks,
-    with the discriminant from _discriminants, the constant s*z + d0/(3k)
-    recovered from it exactly (it is k^2 + 4*constant), and the roots from
-    _roots."""
-    ks = list(ks)
-    return [
-        (s - k, k, (discriminant - k * k) // 4, discriminant, _roots(k, discriminant))
-        for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
-    ]
-
-
 def solve_quadratic_for_x(candidate: CandidateZ, system: TripleSystem) -> list[int]:
     """Integer roots of X^2 - k*X - (s*z + d) = 0, sorted ascending; empty
     when the discriminant k^2 + 4(s*z + d) is negative or not a square.
     The candidate is one of candidate_zs(system), so k*d = d0/3."""
     k = candidate.k
-    return list(_pivot_pass(system.s, k * candidate.d, (k,))[0][4])
+    (discriminant,) = _discriminants(system.s, k * candidate.d, (k,))
+    return list(_roots(k, discriminant))
 
 
 def _closure(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> tuple[Triple, ...]:

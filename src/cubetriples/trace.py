@@ -9,10 +9,9 @@ are diff-stable.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
-from .solver import SolutionSet, Triple, TripleSystem, _closure, _pivot_pass, _tested_ks
+from .solver import SolutionSet, Triple, TripleSystem, _closure, _discriminants, _roots, _tested_ks
 
 __all__ = [
     "RENDER_FORMATS",
@@ -88,10 +87,12 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     d0/3 = -(s - X)(s - Y)(s - Z) and the bound |Z - s| <= L = icbrt(|d0/3|),
     and the sign step, present only when L(L + 2|s|)^2 < 4|d0/3|, shows that
     no pivot with s - Z of the sign opposite to d0/3's has a root.  The
-    candidates step then lists, with z ascending, exactly the pivots solve()
-    tests, from the same solver._tested_ks, one step per pivot follows, and
-    the solutions step closes the roots under the permutations.  So the
-    trace raises IncompleteFactorizationError exactly where solve() does.
+    rest makes solve()'s own four solver calls in solve()'s order:
+    _tested_ks gives the pivots, which the candidates step lists with z
+    ascending; _discriminants and _roots test them, one step per pivot; and
+    _closure closes the roots under the permutations in the solutions step.
+    So the trace raises IncompleteFactorizationError exactly where solve()
+    does.
     """
     s, c = system.s, system.c
     d0 = system.d0
@@ -197,11 +198,13 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             f"of absolute value at most {cap}{sign_clause}."
         )
         ks.sort(reverse=True)
-    pivots = _pivot_pass(s, reduced, ks)
-    candidate_list = ", ".join(str(z) for z, _, _, _, _ in pivots)
+    discriminants = _discriminants(s, reduced, ks)
+    pivot_roots = [_roots(k, discriminant) for k, discriminant in zip(ks, discriminants)]
+    candidate_list = ", ".join(str(s - k) for k in ks)
     add("candidates", f"Z in {{{candidate_list}}}", candidates_note)
 
-    for z, k, constant, discriminant, roots in pivots:
+    for k, discriminant, roots in zip(ks, discriminants, pivot_roots):
+        z = s - k
         if roots:
             triples = ", ".join(format_triple(Triple(x, s - z - x, z)) for x in roots)
             if len(roots) == 1:
@@ -212,12 +215,14 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             note = f"Discriminant {discriminant} is negative, so Z = {z} is rejected."
         else:
             note = f"Discriminant {discriminant} is not a perfect square, so Z = {z} is rejected."
+        # the constant s*z + d0/(3k), recovered exactly: discriminant = k^2 + 4*constant
+        constant = (discriminant - k * k) // 4
         add(f"candidate Z = {z}", f"X^2{_term(-k, 'X')}{_term(-constant)} = 0", note)
 
     add(
         "solutions",
         format_solution_set(
-            SolutionSet.finite(_closure(s, ((z, roots) for z, _, _, _, roots in pivots)))
+            SolutionSet.finite(_closure(s, ((s - k, roots) for k, roots in zip(ks, pivot_roots))))
         ),
         "Union of the surviving triples, closed under all 6 coordinate "
         "permutations and sorted.",
@@ -235,6 +240,9 @@ def render(trace: list[TraceStep], format: str = "plain") -> str:
             lines.append(head % (step.index, step.label, step.equation_text))
             lines.append(indent + step.note)
     elif format == "structured-records":
+        # imported here so that importing the package never loads json
+        from json.encoder import encode_basestring_ascii as _json_string
+
         # the bytes json.dumps(..., separators=(",", ":")) writes for the step's
         # four fields, without building a dict per step
         lines = [

@@ -576,18 +576,18 @@ import cubetriples
 from cubetriples import intmath
 from cubetriples.solver import TripleSystem, solve
 from cubetriples.trace import derive_trace
-built = [intmath._blocks is not None]
+built = [intmath._prime_blocks.cache_info().currsize > 0]
 for s in range(-5, 6):
     for c in range(-200, 201):
         solve(TripleSystem(s, c))
-built.append(intmath._blocks is not None)
+built.append(intmath._prime_blocks.cache_info().currsize > 0)
 solve(TripleSystem(0, 3 * math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))))
-built.append(intmath._blocks is not None)
+built.append(intmath._prime_blocks.cache_info().currsize > 0)
 for s, c in [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]:
     derive_trace(TripleSystem(s, c))
-built.append(intmath._blocks is not None)
+built.append(intmath._prime_blocks.cache_info().currsize > 0)
 solve(TripleSystem(0, 3 * (10**12 + 39)))
-built.append(intmath._blocks is not None)
+built.append(intmath._prime_blocks.cache_info().currsize > 0)
 print(*built)
 """
         ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

@@ -151,6 +151,23 @@ def test_parallel_scan_submits_a_bounded_number_of_tasks(monkeypatch):
     assert submitted == [(s, 0, 3, False) for s in range(len(submitted))]
 
 
+def test_one_worker_streams_point_by_point(monkeypatch):
+    # the first record costs one solve, not a span's worth of them
+    solved = []
+    solve_finite = scan._solve_finite
+
+    def counting(s, d0):
+        solved.append((s, d0))
+        return solve_finite(s, d0)
+
+    monkeypatch.setattr(scan, "_solve_finite", counting)
+    records = scan_grid((7, 7), (0, 2 * scan.SPAN_POINTS), workers=1)
+    first = next(records)
+    assert (first.s, first.c) == (7, 0)
+    records.close()
+    assert solved == [(7, -343)]
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs each task
     at submit, and tracks how many results are submitted but not yet read."""

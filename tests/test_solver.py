@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubetriples import solver
+from cubetriples import solver, trace
 from cubetriples.intmath import IncompleteFactorizationError, icbrt, signed_divisors
 from cubetriples.oracle import brute_force
 from cubetriples.solver import (
@@ -19,7 +19,7 @@ from cubetriples.solver import (
     Triple,
     TripleSystem,
     _closure,
-    _pivot_pass,
+    _discriminants,
     candidate_zs,
     completeness_bound,
     solve,
@@ -116,13 +116,13 @@ def _divisors_inside_cap(system: TripleSystem) -> list[int]:
 def _assert_opposite_sign_pivots_rootless(system: TripleSystem) -> None:
     n = system.d0 // 3
     opposite = [-d if n > 0 else d for d in _divisors_inside_cap(system)]
-    for _, k, _, discriminant, _ in _pivot_pass(system.s, n, opposite):
+    for k, discriminant in zip(opposite, _discriminants(system.s, n, opposite)):
         assert discriminant < 0, (system, k)
 
 
 def _count_pivots_fed(monkeypatch) -> list[int]:
-    """Wrap solver._discriminants; the returned list collects the number of
-    pivots each call is fed."""
+    """Wrap solver._discriminants, and the name trace imports it under; the
+    returned list collects the number of pivots each call is fed."""
     fed: list[int] = []
     original = solver._discriminants
 
@@ -132,6 +132,7 @@ def _count_pivots_fed(monkeypatch) -> list[int]:
         return original(s, reduced, ks)
 
     monkeypatch.setattr(solver, "_discriminants", counting)
+    monkeypatch.setattr(trace, "_discriminants", counting)
     return fed
 
 
