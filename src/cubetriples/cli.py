@@ -22,7 +22,6 @@ leaves it as it finds it.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -83,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_solutions(solution_set: SolutionSet, format: str) -> None:
     if format == "json":
+        # imported here so that no other command loads json
+        import json
+
         print(json.dumps(solution_set.to_json_dict()))
     elif solution_set.kind == "infinite_family":
         print(format_solution_set(solution_set))

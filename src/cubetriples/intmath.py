@@ -109,7 +109,7 @@ def _proven_prime(n: int) -> bool:
     decides every n below _MR_PROVEN_BOUND; at or above it nothing is proven.
 
     n must be odd and above the largest witness: the cofactor left once
-    trial division passed TRIAL_LIMIT with p*p <= n, so n > 10^12.
+    trial division passed 1021 with p*p <= n, so n > 1025^2.
     """
     if n >= _MR_PROVEN_BOUND:
         return False
@@ -183,18 +183,23 @@ def _prime_powers(n: int, limit: int) -> list[tuple[int, int]]:
 
     Trial division of |n| runs up to stop = min(limit, TRIAL_LIMIT) or until
     p*p passes what is left of |n|.  It divides by 2, 3 and then the numbers
-    6j +- 1 up to 1021.  Past that it takes one gcd of what is left with the
-    product of each block of 256 consecutive primes from 1031 to 999983, and
-    only when the gcd exceeds 1 does it try the block's odd numbers up to
-    stop one by one.  The table of blocks (306 products, about 180 KB) is
-    built the first time a call gets that far, which costs about 30 ms and
+    6j +- 1 up to 1021.  Past that, what is left, m, ends trial division if
+    _proven_prime certifies it prime.  Otherwise trial division takes one
+    gcd of m with the product of each block of 256 consecutive primes from
+    1031 to 999983, and only when the gcd exceeds 1 does it try the block's
+    odd numbers up to stop one by one; after such a block it tests m again
+    if the block's first prime squared is at most m.  The table of
+    blocks (306 products, about 180 KB) is built the first time a call gets
+    past a cofactor that is not certified, which costs about 30 ms and
     0.6 MB of peak memory once per process.  This is the one rule for the
     cofactor m > 1 left over:
-    - trial division finished (p*p passed m): m is prime and is kept;
+    - trial division finished (p*p passed m) or certified m prime: m is
+      kept, even above limit, where _divisors_up_to drops it;
     - it stopped at limit: every prime factor of m exceeds limit, so m is in
       no divisor up to limit and is dropped unfactored;
-    - it stopped at TRIAL_LIMIT, below limit: m is kept if it is certified
-      prime, and otherwise IncompleteFactorizationError(n, m) is raised.
+    - it stopped at TRIAL_LIMIT, below limit: m, composite or at least
+      _MR_PROVEN_BOUND, was not certified, and
+      IncompleteFactorizationError(n, m) is raised.
     """
     m = abs(n)
     stop = min(limit, TRIAL_LIMIT)
@@ -223,24 +228,33 @@ def _prime_powers(n: int, limit: int) -> list[tuple[int, int]]:
     if p * p <= m:
         if p <= stop:
             # the loop stopped at p == _BLOCK_START, every prime below it
-            # tried; after the blocks p is at most the least prime not yet
-            # tried, and p*p <= m only where p > stop
-            p = stop + 1
-            for first, last, product in _prime_blocks():
-                if first > stop or first * first > m:
-                    p = min(first, p)
-                    break
-                g = math.gcd(m, product)
-                if g > 1:
-                    for q in range(first, min(last, stop) + 1, 2):
-                        if g % q == 0:
-                            peel(q)
+            # tried.  From here p is at most the least prime factor m may
+            # have: m itself once m is certified prime, else after the
+            # blocks the least prime not yet tried, so p*p <= m only where
+            # p > stop
+            if _proven_prime(m):
+                p = m
+            else:
+                p = stop + 1
+                for first, last, product in _prime_blocks():
+                    if first > stop or first * first > m:
+                        p = min(first, p)
+                        break
+                    g = math.gcd(m, product)
+                    if g > 1:
+                        for q in range(first, min(last, stop) + 1, 2):
+                            if g % q == 0:
+                                peel(q)
+                        if first * first <= m and _proven_prime(m):
+                            p = m
+                            break
         if p * p <= m:
-            # p > stop, and a prime from p on may divide m
+            # p > stop, and a prime from p on may divide m.  Past
+            # TRIAL_LIMIT the blocks were walked, and m failed _proven_prime
+            # when it was last changed
             if limit <= TRIAL_LIMIT:
                 return factors
-            if not _proven_prime(m):
-                raise IncompleteFactorizationError(n, m)
+            raise IncompleteFactorizationError(n, m)
     if m > 1:
         factors.append((m, 1))
     return factors
@@ -250,8 +264,9 @@ def factorize(n: int) -> Factorization:
     """Complete prime factorization of a nonzero integer, sign recorded.
 
     The factors are _prime_powers(n, |n|): trial division runs up to
-    min(isqrt(|n|), TRIAL_LIMIT), and a cofactor left above TRIAL_LIMIT must
-    be certified prime or IncompleteFactorizationError is raised naming it.
+    min(isqrt(|n|), TRIAL_LIMIT) or stops past 1021 at a cofactor certified
+    prime, and a cofactor left above TRIAL_LIMIT must be certified prime or
+    IncompleteFactorizationError is raised naming it.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")

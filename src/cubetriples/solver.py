@@ -272,9 +272,10 @@ def solve(system: TripleSystem) -> SolutionSet:
     L(L + 2|s|)^2 < 4|d0/3| proves the other sign rootless (the sign rule in
     the module docstring); the permutation closure restores the rest.
     For L up to 128 the divisors are found by dividing d0/3 by every
-    k <= L.  Above that, trial division of d0/3 up to min(L, 10^6), and a
-    certified-prime cofactor when L is larger, proves the divisor list
-    complete.
+    k <= L.  Above that, trial division of d0/3 up to min(L, 10^6) proves
+    the divisor list complete.  It stops early, past 1021, at a cofactor
+    that Miller-Rabin certifies prime, and when L passes 10^6 the cofactor
+    left there must be certified prime.
     """
     d0 = system.d0
     if d0 == 0:

@@ -444,6 +444,25 @@ def test_dataclasses_and_inspect_not_loaded():
     assert not (solved - loaded("-c", "pass")) & heavy
 
 
+def test_json_loaded_only_for_json_output():
+    json_modules = {"json", "json.decoder", "json.scanner", "json.encoder", "_json"}
+
+    # -X importtime ends each line with the imported module's name; what the
+    # bare interpreter loads at startup does not count
+    def loaded(*args: str) -> set[str]:
+        run = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+        assert run.returncode == 0
+        return {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+
+    startup = loaded("-c", "pass")
+    system = ("--sum", "3", "--cubes", "3")
+    for command in (("trace", *system), ("solve", *system, "--format", "text")):
+        ran = loaded("-m", "cubetriples", *command)
+        assert "cubetriples.cli" in ran
+        assert not (ran - startup) & json_modules, command
+    assert "json" in loaded("-m", "cubetriples", "solve", *system, "--format", "json")
+
+
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

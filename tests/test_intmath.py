@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubetriples import intmath
 from cubetriples.intmath import (
     _DIRECT_LIMIT,
     _MR_PROVEN_BOUND,
@@ -27,6 +28,7 @@ from cubetriples.intmath import (
     perfect_square_root,
     signed_divisors,
 )
+from cubetriples.solver import SolutionSet, TripleSystem, solve
 
 # squares of 0..1000, an independent lookup oracle for n <= 10^6
 _SQUARES = {r * r: r for r in range(1001)}
@@ -421,11 +423,11 @@ def test_cofactor_rule_matches_sympy():
 
 
 def test_proven_prime_matches_sympy():
-    # every cofactor that reaches the primality test is odd and above 10^12
+    # every cofactor that reaches the primality test is odd and above 1025^2
     sympy = pytest.importorskip("sympy")
     rng = random.Random(0)
     for _ in range(3000):
-        n = rng.randrange(10**12, 10**25) | 1
+        n = rng.randrange(1025**2, 10**25) | 1
         assert _proven_prime(n) == (sympy.isprime(n) and n < _MR_PROVEN_BOUND), n
 
 
@@ -504,6 +506,12 @@ BLOCK_CASES = [
     1031 * 1091 * 1093**2 * 1097 * 999983,
     -3 * 2999 * 3023 * 3037,
     996637 * 996689 * (10**12 + 39),
+    # a prime cofactor below the Miller-Rabin bound certified before any
+    # block, one certified once block 0 peels 1031, and one above the bound
+    # that the certificate cannot prove
+    7 * 100000000000000000039,
+    1031 * 100000000000000000039,
+    1031 * 3317044064679887385962123,
 ]
 
 
@@ -569,7 +577,8 @@ class TestPrimeBlocks:
 
     def test_table_is_built_on_first_use(self):
         # import, small systems, the smooth primorial-47 system and the trace
-        # goldens never try a prime above 1021; a cofactor past 1025^2 does
+        # goldens never try a prime above 1021; a composite cofactor past
+        # 1025^2 with a cap past 1025 does
         probe = """
 import math
 import cubetriples
@@ -586,10 +595,35 @@ built.append(intmath._prime_blocks.cache_info().currsize > 0)
 for s, c in [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]:
     derive_trace(TripleSystem(s, c))
 built.append(intmath._prime_blocks.cache_info().currsize > 0)
-solve(TripleSystem(0, 3 * (10**12 + 39)))
+solve(TripleSystem(0, 3 * 1031 * 1033 * 1039))
 built.append(intmath._prime_blocks.cache_info().currsize > 0)
 print(*built)
 """
         ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert ran.returncode == 0, ran.stderr
         assert ran.stdout.split() == ["False"] * 4 + ["True"]
+
+    def test_certified_cofactor_stops_trial_division(self, monkeypatch):
+        # d0/3 = 10^20 + 39 is prime below the Miller-Rabin bound and its cap
+        # passes the trial limit: it is certified before any block, so the
+        # table is never asked for; times 1031, it is certified once block 0
+        # peels 1031, and no later block is tried
+        blocks = _prime_blocks()
+        walks = []
+
+        def watched_blocks():
+            firsts = []
+            walks.append(firsts)
+
+            def walk():
+                for block in blocks:
+                    firsts.append(block[0])
+                    yield block
+
+            return walk()
+
+        monkeypatch.setattr(intmath, "_prime_blocks", watched_blocks)
+        assert solve(TripleSystem(0, 300000000000000000117)) == SolutionSet.finite(())
+        assert walks == []
+        assert solve(TripleSystem(0, 309300000000000000120627)) == SolutionSet.finite(())
+        assert walks == [[1031]]
