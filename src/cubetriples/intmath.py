@@ -29,6 +29,21 @@ TRIAL_LIMIT = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
+# (psi_t, t): the first t witnesses decide every n < psi_t, the least strong
+# pseudoprime to all of them (Jaeschke 1993 up to t = 8, Sorenson & Webster
+# 2017 for 9 to 13); ascending, and _proven_prime takes the first row above n
+_MR_WITNESS_COUNTS = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_PROVEN_BOUND, 13),
+)
+
 # Trial division tries the candidates 6j +- 1 below _BLOCK_START one by one,
 # and the primes from there to TRIAL_LIMIT by blocks of _BLOCK_PRIMES: one
 # gcd with a block's product.  _BLOCK_START squared exceeds TRIAL_LIMIT, so
@@ -105,20 +120,32 @@ def perfect_square_root(n: int) -> int | None:
 
 
 def _proven_prime(n: int) -> bool:
-    """Whether n is proven prime by Miller-Rabin to the 13 witnesses, which
-    decides every n below _MR_PROVEN_BOUND; at or above it nothing is proven.
+    """Whether n is proven prime by Miller-Rabin to the first t prime
+    witnesses, t sized to n; at or above _MR_PROVEN_BOUND nothing is proven.
+
+    psi_t, the least odd composite that is a strong probable prime to each
+    of the first t primes, is known for t <= 13: Jaeschke (1993, Math. Comp.
+    61) gives it up to t = 8, and Sorenson & Webster (2017, Math. Comp. 86)
+    for t = 9 to 13.  So below psi_t those t witnesses decide n, and t is
+    taken from the first row of _MR_WITNESS_COUNTS with n < psi_t: 2
+    witnesses below 1 373 653, 7 below about 3.4*10^14, all 13 only from
+    about 3.2*10^23.  Each witness is one modular power, so a small cofactor
+    costs a fraction of the full set.
 
     n must be odd and above the largest witness: the cofactor left once
     trial division passed 1021 with p*p <= n, so n > 1025^2.
     """
-    if n >= _MR_PROVEN_BOUND:
+    for bound, count in _MR_WITNESS_COUNTS:
+        if n < bound:
+            break
+    else:
         return False
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -292,14 +319,19 @@ def _divisors_up_to(n: int, limit: int) -> list[int]:
     that is not certified prime.  Each prime power then multiplies into the
     products built so far, and a product above the limit is dropped together
     with every multiple the remaining primes would make of it: multiplying
-    only makes a positive product larger.
+    only makes a positive product larger.  The primes go in largest first,
+    since each prime power scans every product built so far: the large
+    primes, which keep few products under the limit, then scan the short
+    list built before the small primes grow it, where smallest first each of
+    them would rescan the long list of small products and keep little of
+    it.  The set of divisors is the same in either order.
     """
     if n == 0:
         raise ValueError("0 has no divisor set")
     if limit <= _DIRECT_LIMIT:
         return [d for d in range(1, limit + 1) if n % d == 0]
     divisors = [1]
-    for prime, exponent in _prime_powers(n, limit):
+    for prime, exponent in reversed(_prime_powers(n, limit)):
         bound = limit // prime  # d * prime <= limit exactly when d <= bound
         grown = divisors
         for _ in range(exponent):

@@ -179,16 +179,19 @@ def _tested_ks(s: int, reduced: int) -> tuple[int, bool, list[int]]:
 
 
 def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:
-    """The discriminant (k - 2s)^2 + 4*(reduced // k) of each pivot k, in the
+    """The discriminant (k - 2s)^2 + 4*reduced/k of each pivot k, in the
     order of ks.
 
     k runs over divisors of reduced = d0/3 and z = s - k.  The pivot's
     quadratic is X^2 - k*X - constant = 0 with constant = s*z + d0/(3k), and
     k^2 + 4*constant expands to this.  This is the one place the
-    discriminant is computed.
+    discriminant is computed.  4*reduced is formed once: k divides reduced,
+    so k divides 4*reduced exactly, and floor division of it by k, of either
+    sign, gives 4*(reduced/k) with no remainder to round.
     """
     s2 = 2 * s
-    return [(k - s2) ** 2 + 4 * (reduced // k) for k in ks]
+    r4 = 4 * reduced
+    return [(t := k - s2) * t + r4 // k for k in ks]
 
 
 def _roots(k: int, discriminant: int) -> tuple[int, ...]:
@@ -250,7 +253,7 @@ def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
-        if discriminant >= 0 and math.isqrt(discriminant) ** 2 == discriminant
+        if discriminant >= 0 and (root := math.isqrt(discriminant)) * root == discriminant
     ]
     if not hits:
         return ()

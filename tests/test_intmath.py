@@ -422,6 +422,29 @@ def test_cofactor_rule_matches_sympy():
             assert sorted(_divisors_up_to(n, limit)) == expected, (n, limit)
 
 
+# (psi_t, t): psi_t is the least odd composite that is a strong probable
+# prime to each of the first t primes (Jaeschke 1993; Sorenson & Webster
+# 2017), so t witnesses decide every n < psi_t and no fewer decide psi_t;
+# written out here rather than read from intmath
+WITNESS_ROWS = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+
+def _log_uniform_odd(rng: random.Random, lo: int, hi: int) -> int:
+    """An odd n with lo <= n < hi whose bit length is drawn uniformly."""
+    bits = rng.randint(lo.bit_length(), hi.bit_length())
+    return rng.randrange(max(lo, 1 << (bits - 1)) | 1, min(hi, 1 << bits), 2)
+
+
 def test_proven_prime_matches_sympy():
     # every cofactor that reaches the primality test is odd and above 1025^2
     sympy = pytest.importorskip("sympy")
@@ -429,6 +452,22 @@ def test_proven_prime_matches_sympy():
     for _ in range(3000):
         n = rng.randrange(1025**2, 10**25) | 1
         assert _proven_prime(n) == (sympy.isprime(n) and n < _MR_PROVEN_BOUND), n
+    # uniform draws almost never fall below 10^23, so each witness row gets
+    # draws of its own, log-uniform between its bound and the one before
+    lo = 1025**2
+    for psi, _ in WITNESS_ROWS:
+        for _ in range(300):
+            n = _log_uniform_odd(rng, lo, psi)
+            assert lo <= n < psi
+            assert _proven_prime(n) == sympy.isprime(n), n
+        lo = psi
+
+
+@pytest.mark.parametrize("psi", [psi for psi, _ in WITNESS_ROWS])
+def test_proven_prime_rejects_each_rows_pseudoprime(psi):
+    # psi_t fools its own t witnesses, so this fails if psi_t is taken into
+    # its own row (<= in place of <) or if any row below it has too few
+    assert _proven_prime(psi) is False
 
 
 def _prime_powers_by_candidates(n: int, limit: int) -> list[tuple[int, int]]:

@@ -34,6 +34,11 @@ SYS33 = TripleSystem(3, 3)
 # `solve --format json`, for s in [-12, 12], c in [-300, 300]
 SOLVE_JSON_SWEEP_SHA256 = "ac6583f2f5e63d2d2bcf25e88fc2933309628af4d09e6bbf2a64ca7710f618e0"
 
+# SHA-256 of the same lines over SMOOTH_SWEEP below
+SMOOTH_SWEEP_SHA256 = "745f6bda1492853f8786e43ce73491b58db453a478459d508e809a1d28b08305"
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
 systems = st.builds(
     TripleSystem,
     st.integers(min_value=-40, max_value=40),
@@ -64,7 +69,7 @@ smooth_systems = st.builds(
     st.integers(min_value=-50, max_value=50),
     st.sampled_from((1, -1)),
     st.lists(
-        st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)),
+        st.sampled_from(SMALL_PRIMES),
         min_size=6,
         max_size=11,
         unique=True,
@@ -92,6 +97,45 @@ def _planted_small_sum_triples() -> list[Triple]:
 
 
 PLANTED_SMALL_SUM = _planted_small_sum_triples()
+
+
+def _smooth(rng: random.Random, count: int) -> int:
+    """The product of count distinct primes <= 47, each to a power 1 to 3."""
+    return math.prod(p ** rng.randint(1, 3) for p in rng.sample(SMALL_PRIMES, count))
+
+
+def _smooth_sweep_systems() -> list[TripleSystem]:
+    """1000 seeded systems with d0/3 = N smooth and icbrt(|N|) > 128, so
+    solve() lists divisors by factoring N, not by direct division.
+
+    Three in four take N = +-(3 to 6 prime powers) with |s| <= 20, where the
+    sign rule applies, or |s| up to 4 icbrt(|N|), where it mostly does not.
+    The fourth plants a solution: N = -abc with a, b, c smooth of either
+    sign and s = (a + b + c)/2, so (s - a, s - b, s - c) solves the system;
+    one in four of these has |a| = |b| = |c|, a pivot at the cap itself.
+    """
+    rng = random.Random(25)
+    found = []
+    while len(found) < 1000:
+        if len(found) % 4 == 3:
+            a, b, c = (rng.choice((1, -1)) * _smooth(rng, 2) for _ in range(3))
+            if len(found) % 16 == 15:
+                # |a| = |b| = |c| = icbrt(|N|): the solution's pivot is the cap
+                b, c = rng.choice((1, -1)) * a, rng.choice((1, -1)) * a
+            if (a + b + c) % 2:
+                continue
+            s = (a + b + c) // 2
+            n = -a * b * c
+        else:
+            n = rng.choice((1, -1)) * _smooth(rng, rng.randint(3, 6))
+            cap = icbrt(abs(n))
+            s = rng.randint(-20, 20) if rng.random() < 0.5 else rng.randint(-4 * cap, 4 * cap)
+        if icbrt(abs(n)) > 128:
+            found.append(TripleSystem(s, s**3 + 3 * n))
+    return found
+
+
+SMOOTH_SWEEP = _smooth_sweep_systems()
 
 
 def _sign_rule_applies(system: TripleSystem) -> bool:
@@ -368,6 +412,21 @@ class TestSignRule:
 
 
 class TestOneDiscriminant:
+    @given(
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.integers(min_value=1, max_value=2**70),
+        st.integers(min_value=-(2**70), max_value=2**70).filter(bool),
+    )
+    @example(s=-7, k=2**33 + 1, m=-(2**40 + 3))
+    @example(s=10**20, k=3, m=2**66 + 1)
+    def test_matches_the_expanded_formula(self, s, k, m):
+        # k^2 + 4*constant with constant = s*z + reduced/k and z = s - k, for
+        # divisors of both signs of a reduced of either sign, up past 2^64
+        reduced = k * m
+        ks = [k, -k, m, -m, 1, -1, reduced]
+        expected = [d * d + 4 * (s * (s - d) + reduced // d) for d in ks]
+        assert _discriminants(s, reduced, ks) == expected
+
     def test_every_pivot_test_reaches_the_one_formula(self, monkeypatch):
         # solve, the trace and solve_quadratic_for_x all test pivots, and each
         # must get its discriminants from solver._discriminants; candidate_zs
@@ -506,6 +565,21 @@ class TestSolve:
                 line = json.dumps(solve(TripleSystem(s, c)).to_json_dict()) + "\n"
                 digest.update(line.encode())
         assert digest.hexdigest() == SOLVE_JSON_SWEEP_SHA256
+
+    def test_smooth_sweep_bytes_pinned(self):
+        # the divisor lists built from prime powers, past direct division:
+        # both signs of d0/3, both sign-rule regimes, and planted solutions
+        regimes = {_sign_rule_applies(system) for system in SMOOTH_SWEEP}
+        assert regimes == {True, False}
+        assert {system.d0 > 0 for system in SMOOTH_SWEEP} == {True, False}
+        digest = hashlib.sha256()
+        found = 0
+        for system in SMOOTH_SWEEP:
+            result = solve(system)
+            found += bool(result.triples)
+            digest.update((json.dumps(result.to_json_dict()) + "\n").encode())
+        assert found >= 250
+        assert digest.hexdigest() == SMOOTH_SWEEP_SHA256
 
     @given(systems)
     def test_degenerate_detection(self, system):
