@@ -17,6 +17,10 @@ leaves it as it finds it.  Exit codes:
    beside the file --out resolves to and renames it there only on success,
    so a failed scan leaves no partial output.
 2  a usage error.
+
+A reader that closes stdout before the output ends, as in `cubetriples
+oracle ... | head -1`, is not a failure: the command stops writing, prints
+nothing to stderr and exits 0.
 """
 
 from __future__ import annotations
@@ -95,25 +99,22 @@ def _print_solutions(solution_set: SolutionSet, format: str) -> None:
             print(format_triple(triple))
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     _print_solutions(solve(TripleSystem(args.sum, args.cubes)), args.format)
-    return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> None:
     triples = brute_force(TripleSystem(args.sum, args.cubes), args.bound)
     _print_solutions(SolutionSet.finite(tuple(triples)), args.format)
-    return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> None:
     trace = derive_trace(TripleSystem(args.sum, args.cubes))
     format = "structured-records" if args.format == "json" else args.format
     sys.stdout.write(render(trace, format))
-    return 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> None:
     s_range = args.sum_range
     c_range = args.cubes_range
     counts = {"finite": 0, "empty": 0, "infinite_family": 0}
@@ -132,12 +133,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             for record in scan_grid(
                 s_range, c_range, workers=args.jobs, include_solutions=args.include_solutions
             ):
-                if record.kind == "infinite_family":
-                    counts["infinite_family"] += 1
-                elif record.solution_count == 0:
-                    counts["empty"] += 1
-                else:
-                    counts["finite"] += 1
+                counts["empty" if record.solution_count == 0 else record.kind] += 1
                 sink.write(record_to_json(record) + "\n")
         os.replace(partial, out)
     except BaseException:
@@ -148,7 +144,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         f"{total} systems: {counts['finite']} finite, {counts['empty']} empty, "
         f"{counts['infinite_family']} infinite-family"
     )
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -169,10 +164,17 @@ def main(argv: list[str] | None = None) -> int:
         "scan": cmd_scan,
     }[args.command]
     try:
-        return handler(args)
+        handler(args)
+        # a reader that closes stdout early fails this flush, not the one at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, which is no failure; point stdout at
+        # devnull so that the interpreter's final flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (IncompleteFactorizationError, OSError) as exc:
         print(f"cubetriples {args.command}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

@@ -142,11 +142,9 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
 
     z is admissible iff z != s and 3(s - z) divides d0; these are the only
     values any solution coordinate can take in a non-degenerate system.  So
-    there are none unless 3 | d0, and otherwise k runs over the signed
-    divisors of d0/3.  The list holds every admissible pivot, including those
-    solve() skips: the ones with |k| > icbrt(|d0/3|), since every solution
-    has a coordinate z with |s - z|^3 <= |d0/3|, and the ones the sign rule
-    proves rootless (see the module docstring).
+    the list is empty unless 3 | d0, and otherwise k runs over every signed
+    divisor of d0/3, including the pivots solve() skips: those past the cap
+    and those the sign rule proves rootless (see the module docstring).
     """
     d0 = system.d0
     if d0 == 0:
@@ -160,22 +158,25 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     return [CandidateZ(z=system.s - k, k=k, d=reduced // k) for k in reversed(signed_divisors(reduced))]
 
 
-def _tested_ks(s: int, reduced: int) -> tuple[int, bool, list[int]]:
-    """(L, one_sign, ks) for the system with sum s and d0 = 3 * reduced != 0:
-    the cap L = icbrt(|reduced|), whether the sign rule applies, and the
-    pivots k = s - z that solve() and derive_trace test, in no particular
-    order.
+def _tested_ks(s: int, d0: int) -> tuple[int, int, bool, list[int]] | None:
+    """The pivot plan of the system with sum s and d0 = c - s^3 != 0: the
+    one place that decides which pivots solve() and derive_trace test.
 
-    ks holds each divisor d <= L of reduced as k = d and k = -d, or only with
-    the sign of reduced when L(L + 2|s|)^2 < 4|reduced| (one_sign; the sign
-    rule in the module docstring).  This is the one place that rule is
-    applied.
+    None when no pivot is admissible, which is when 3 does not divide d0.
+    Otherwise (reduced, L, one_sign, ks): reduced = d0/3, the cap
+    L = icbrt(|reduced|), whether the sign rule applies, and the pivots
+    k = s - z in no particular order, each divisor d <= L of reduced as
+    k = d and k = -d, or only with the sign of reduced under the sign rule.
+    The module docstring proves the cap and the sign rule.
     """
+    if d0 % 3 != 0:
+        return None
+    reduced = d0 // 3
     cap = icbrt(abs(reduced))
     divisors = _divisors_up_to(reduced, cap)
     if cap * (cap + 2 * abs(s)) ** 2 < 4 * abs(reduced):
-        return cap, True, divisors if reduced > 0 else [-d for d in divisors]
-    return cap, False, divisors + [-d for d in divisors]
+        return reduced, cap, True, divisors if reduced > 0 else [-d for d in divisors]
+    return reduced, cap, False, divisors + [-d for d in divisors]
 
 
 def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:
@@ -246,10 +247,10 @@ def completeness_bound(system: TripleSystem) -> int:
 def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
     """The sorted solution triples of the system with sum s and
     d0 = c - s^3 != 0; see solve() for the method."""
-    if d0 % 3 != 0:
+    plan = _tested_ks(s, d0)
+    if plan is None:
         return ()
-    reduced = d0 // 3
-    _, _, ks = _tested_ks(s, reduced)
+    reduced, _, _, ks = plan
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
@@ -265,15 +266,11 @@ def solve(system: TripleSystem) -> SolutionSet:
 
     Degenerate systems (c = s^3) return the symbolic infinite family.
     Otherwise the finite set is assembled by running the quadratic at every
-    admissible pivot inside the cube-root cap and closing under the 6
-    coordinate permutations; the result is duplicate-free and sorted lexicographically.
-    There are no admissible pivots unless 3 | d0.  Every solution
-    satisfies d0/3 = -(s - x)(s - y)(s - z), so one of its coordinates z has
-    |s - z|^3 <= |d0/3| (see the module docstring): only the positive
-    divisors d <= L = icbrt(|d0/3|) are generated, unordered, and each is
-    tested as k = d and k = -d, or only with the sign of d0/3 when
-    L(L + 2|s|)^2 < 4|d0/3| proves the other sign rootless (the sign rule in
-    the module docstring); the permutation closure restores the rest.
+    pivot of the plan _tested_ks makes, none unless 3 | d0, and closing the
+    roots under the 6 coordinate permutations; the result is duplicate-free
+    and sorted lexicographically.  The plan's pivots lie inside the
+    cube-root cap L = icbrt(|d0/3|), on one side only under the sign rule,
+    and the module docstring proves that they find every solution.
     For L up to 128 the divisors are found by dividing d0/3 by every
     k <= L.  Above that, trial division of d0/3 up to min(L, 10^6) proves
     the divisor list complete.  It stops early, past 1021, at a cofactor

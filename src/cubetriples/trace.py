@@ -82,17 +82,15 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
 
     Four steps reduce the system to one quadratic in X per pivot Z.  With
     d0 = c - s^3 = 0 a factor step and the infinite family follow.
-    Otherwise the divisibility step decides whether 3 | d0, and when it
-    does, two steps state the proof solve() runs: the cap step gives
-    d0/3 = -(s - X)(s - Y)(s - Z) and the bound |Z - s| <= L = icbrt(|d0/3|),
-    and the sign step, present only when L(L + 2|s|)^2 < 4|d0/3|, shows that
-    no pivot with s - Z of the sign opposite to d0/3's has a root.  The
-    rest makes solve()'s own four solver calls in solve()'s order:
-    _tested_ks gives the pivots, which the candidates step lists with z
-    ascending; _discriminants and _roots test them, one step per pivot; and
-    _closure closes the roots under the permutations in the solutions step.
-    So the trace raises IncompleteFactorizationError exactly where solve()
-    does.
+    Otherwise the trace renders solve()'s pivot plan, _tested_ks: the
+    divisibility step states whether 3 | d0, and when it does, the cap step
+    and, where the sign rule applies, the sign step state with this
+    system's numbers the proof in the solver's module docstring.  The rest
+    makes solve()'s other solver calls in solve()'s order: the candidates
+    step lists the plan's pivots with z ascending; _discriminants and _roots
+    test them, one step per pivot; and _closure closes the roots under the
+    permutations in the solutions step.  So the trace raises
+    IncompleteFactorizationError exactly where solve() does.
     """
     s, c = system.s, system.c
     d0 = system.d0
@@ -105,23 +103,13 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     s_minus_z = f"{s_minus}Z"
     z_minus_s = f"Z{_term(-s)}"
     z_minus_s_coefficient = "Z" if s == 0 else f"({z_minus_s})"
+    # for the rendered text only: the substituted remainder, in lowest terms
+    # when 3 | d0
     reduced, remainder = divmod(d0, 3)
-    # 3 | d0 decides the substituted remainder, the divisibility step and
-    # whether any pivot is admissible
-    if remainder == 0:
-        substitute_rhs = _fraction(reduced, s_minus_z, z_minus_s)
-        divisibility = (
-            f"{z_minus_s_coefficient} | {abs(reduced)}",
-            "The left side of the quadratic is an integer for integer X, so "
-            "the remainder must be an integer as well.",
-        )
-    else:
+    if remainder:
         substitute_rhs = _fraction(d0, f"3({s_minus_z})", f"3({z_minus_s})")
-        divisibility = (
-            f"3({s_minus_z}) | {d0}",
-            f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
-            "integer Z is admissible.",
-        )
+    else:
+        substitute_rhs = _fraction(reduced, s_minus_z, z_minus_s)
 
     add(
         "rearrange-linear",
@@ -165,12 +153,24 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         return steps
 
-    add("divisibility", *divisibility)
-    if remainder:
+    plan = _tested_ks(s, d0)
+    if plan is None:
+        add(
+            "divisibility",
+            f"3({s_minus_z}) | {d0}",
+            f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
+            "integer Z is admissible.",
+        )
         ks = []
         candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
     else:
-        cap, one_sign, ks = _tested_ks(s, reduced)
+        reduced, cap, one_sign, ks = plan
+        add(
+            "divisibility",
+            f"{z_minus_s_coefficient} | {abs(reduced)}",
+            "The left side of the quadratic is an integer for integer X, so "
+            "the remainder must be an integer as well.",
+        )
         add(
             "cap",
             f"{reduced} = -({s_minus}X)({s_minus}Y)({s_minus}Z), |{z_minus_s}| <= {cap}",

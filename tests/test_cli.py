@@ -142,6 +142,21 @@ class TestOracleCommand:
             main(["oracle", "--sum", "3", "--cubes", "3", "--bound", "-1"])
         assert excinfo.value.code == 2
 
+    def test_closed_reader_is_no_failure(self):
+        # a reader that takes one line and closes the pipe, as `| head -1`
+        # does, while the command still has about 2 MB to print: every
+        # permutation of (0, t, -t) with |t| <= 20000
+        argv = ["oracle", "--sum", "0", "--cubes", "0", "--bound", "20000"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "cubetriples", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as process:
+            line = process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+        assert line == b"(-20000, 0, 20000)\n"
+        assert err == b""
+        assert process.returncode == 0
+
 
 class TestTraceCommand:
     def test_plain_contains_remainders(self, capsys):

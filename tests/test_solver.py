@@ -180,6 +180,21 @@ def _count_pivots_fed(monkeypatch) -> list[int]:
     return fed
 
 
+def _count_plans(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap solver._tested_ks, and the name trace imports it under; the
+    returned list collects the (s, d0) of each call."""
+    calls: list[tuple[int, int]] = []
+    original = solver._tested_ks
+
+    def counting(s, d0):
+        calls.append((s, d0))
+        return original(s, d0)
+
+    monkeypatch.setattr(solver, "_tested_ks", counting)
+    monkeypatch.setattr(trace, "_tested_ks", counting)
+    return calls
+
+
 def _every_pivot_fold(system: TripleSystem) -> SolutionSet:
     return SolutionSet.finite(
         _closure(
@@ -440,6 +455,31 @@ class TestOneDiscriminant:
         assert len(fed) == 2
         assert solve_quadratic_for_x(candidates[0], SYS33) == [4]
         assert fed[2:] == [1]
+
+
+class TestOnePivotPlan:
+    # 3 divides d0 at a third of these points; c = s^3 at s in [-3, 3]
+    SWEEP = [TripleSystem(s, c) for s in range(-4, 5) for c in range(-30, 31)]
+
+    def test_solve_and_trace_each_plan_once(self, monkeypatch):
+        calls = _count_plans(monkeypatch)
+        assert {system.d0 % 3 for system in self.SWEEP} == {0, 1, 2}
+        assert sum(system.degenerate for system in self.SWEEP) == 7
+        for system in self.SWEEP:
+            expected = [] if system.degenerate else [(system.s, system.d0)]
+            for run in (solve, derive_trace):
+                del calls[:]
+                run(system)
+                assert calls == expected, (run.__name__, system)
+
+    def test_an_empty_plan_empties_solve_and_trace(self, monkeypatch):
+        # (3, 3) has four solutions; a plan of no pivot must leave none in
+        # either caller, whatever 3 | d0 says
+        monkeypatch.setattr(solver, "_tested_ks", lambda s, d0: None)
+        monkeypatch.setattr(trace, "_tested_ks", lambda s, d0: None)
+        assert solve(SYS33) == SolutionSet.finite(())
+        steps = derive_trace(SYS33)
+        assert [step.equation_text for step in steps[-2:]] == ["Z in {}", "(X, Y, Z) in {}"]
 
 
 class TestCompletenessBound:
