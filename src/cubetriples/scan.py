@@ -18,7 +18,7 @@ import os
 from collections import deque
 from typing import Any, Iterator, NamedTuple
 
-from .solver import Triple, _bound, _solve_finite
+from .solver import Triple, _solve_finite
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 
@@ -75,14 +75,18 @@ def record_to_json(record: ScanRecord) -> str:
 def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[ScanRecord]:
     """The records of the points (s, c_lo) .. (s, c_hi), in c order."""
     s3 = s**3
+    abs_s = abs(s)
     for c in range(c_lo, c_hi + 1):
         d0 = c - s3
         if d0 == 0:
             yield ScanRecord(s, c, "infinite_family")
             continue
         triples = _solve_finite(s, d0)
-        yield ScanRecord(
-            s, c, "finite", len(triples), triples if include_solutions else None, _bound(s, d0)
+        # tuple.__new__ skips ScanRecord's Python-level __new__, and the last
+        # field is completeness_bound written out: both are per-point costs
+        yield tuple.__new__(
+            ScanRecord,
+            (s, c, "finite", len(triples), triples if include_solutions else None, abs_s + (abs(d0) // 3 or 1)),
         )
 
 

@@ -21,13 +21,19 @@ whose smallest, |s - W|, has |s - W|^3 <= |d0/3|.  So the pivot Z = W finds
 the solution, and closing under the coordinate permutations finds its every
 ordering.
 
-The sign rule halves those pivots once the cap is large against |s|.  Write
-N = d0/3 and L = icbrt(|N|).  The pivot k (z = s - k) has discriminant
-D(k) = (k - 2s)^2 + 4N/k.  For k of the sign opposite to N's, 4N/k is
--4|N|/|k| and (k - 2s)^2 <= (|k| + 2|s|)^2, so
-|k| * D(k) <= |k|(|k| + 2|s|)^2 - 4|N|.  Since t(t + 2|s|)^2 rises with t and
-|k| <= L, every such pivot has D(k) < 0, hence no root, whenever
-L(L + 2|s|)^2 < 4|N|.  Then only the divisors with the sign of N are tested.
+The sign rule halves those pivots wherever it applies.  Write N = d0/3,
+L = icbrt(|N|), and a = s if N < 0 else -s.  The pivot k (z = s - k) has
+discriminant D(k) = (k - 2s)^2 + 4N/k.  A pivot of the sign opposite to N's
+is k = -t*sign(N) with 1 <= t <= L; then (k - 2s)^2 = (t - 2a)^2 and
+4N/k = -4|N|/t, so t * D(k) = t(t - 2a)^2 - 4|N|.
+That whole side is rootless, as every such pivot has D(k) < 0, whenever
+f(t) = t(t - 2a)^2 < 4|N| for all 0 < t <= L.  For a <= 0, f rises with t.
+For a > 0, f'(t) = (t - 2a)(3t - 2a), so f rises to its local maximum
+f(2a/3) = 32a^3/27, falls to 0 at t = 2a, and rises after; over (0, L] its
+largest value is f(L), or 32a^3/27 when 3L > 2a.  That second value needs no
+test: 3L > 2a and L^3 <= |N| give 32a^3/27 < 4L^3 <= 4|N|.  So the rule is
+the one comparison L(L - 2a)^2 < 4|N|, and then only the divisors with the
+sign of N are tested.
 """
 
 from __future__ import annotations
@@ -144,7 +150,8 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     values any solution coordinate can take in a non-degenerate system.  So
     the list is empty unless 3 | d0, and otherwise k runs over every signed
     divisor of d0/3, including the pivots solve() skips: those past the cap
-    and those the sign rule proves rootless (see the module docstring).
+    and, where L(L - 2a)^2 < 4|d0/3|, those of the sign opposite to d0/3's,
+    which that rule proves rootless (see the module docstring).
     """
     d0 = system.d0
     if d0 == 0:
@@ -164,18 +171,23 @@ def _tested_ks(s: int, d0: int) -> tuple[int, int, bool, list[int]] | None:
 
     None when no pivot is admissible, which is when 3 does not divide d0.
     Otherwise (reduced, L, one_sign, ks): reduced = d0/3, the cap
-    L = icbrt(|reduced|), whether the sign rule applies, and the pivots
-    k = s - z in no particular order, each divisor d <= L of reduced as
-    k = d and k = -d, or only with the sign of reduced under the sign rule.
-    The module docstring proves the cap and the sign rule.
+    L = icbrt(|reduced|), whether the sign rule L(L - 2a)^2 < 4|reduced|
+    applies, with a = s if reduced < 0 else -s, and the pivots k = s - z in
+    no particular order, each divisor d <= L of reduced as k = d and k = -d,
+    or only with the sign of reduced under the sign rule.  The module
+    docstring proves the cap and the sign rule.
     """
     if d0 % 3 != 0:
         return None
     reduced = d0 // 3
     cap = icbrt(abs(reduced))
     divisors = _divisors_up_to(reduced, cap)
-    if cap * (cap + 2 * abs(s)) ** 2 < 4 * abs(reduced):
-        return reduced, cap, True, divisors if reduced > 0 else [-d for d in divisors]
+    # L - 2a is L + 2s when reduced > 0 and L - 2s when reduced < 0
+    if reduced > 0:
+        if cap * (cap + 2 * s) ** 2 < 4 * reduced:
+            return reduced, cap, True, divisors
+    elif cap * (cap - 2 * s) ** 2 < -4 * reduced:
+        return reduced, cap, True, [-d for d in divisors]
     return reduced, cap, False, divisors + [-d for d in divisors]
 
 
@@ -226,11 +238,6 @@ def _closure(s: int, pivots: Iterable[tuple[int, Iterable[int]]]) -> tuple[Tripl
     return tuple(Triple(*t) for t in sorted(found))
 
 
-def _bound(s: int, d0: int) -> int:
-    """completeness_bound of the system with sum s and d0 = c - s^3 != 0."""
-    return abs(s) + max(1, abs(d0) // 3)
-
-
 def completeness_bound(system: TripleSystem) -> int:
     """A box radius guaranteed to contain every solution coordinate.
 
@@ -241,7 +248,7 @@ def completeness_bound(system: TripleSystem) -> int:
     d0 = system.d0
     if d0 == 0:
         raise ValueError("degenerate system has no finite completeness bound")
-    return _bound(system.s, d0)
+    return abs(system.s) + max(1, abs(d0) // 3)
 
 
 def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
@@ -269,7 +276,8 @@ def solve(system: TripleSystem) -> SolutionSet:
     pivot of the plan _tested_ks makes, none unless 3 | d0, and closing the
     roots under the 6 coordinate permutations; the result is duplicate-free
     and sorted lexicographically.  The plan's pivots lie inside the
-    cube-root cap L = icbrt(|d0/3|), on one side only under the sign rule,
+    cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign only when
+    the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if d0 < 0 else -s,
     and the module docstring proves that they find every solution.
     For L up to 128 the divisors are found by dividing d0/3 by every
     k <= L.  Above that, trial division of d0/3 up to min(L, 10^6) proves

@@ -183,13 +183,31 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         if one_sign:
             tested, rootless = ("<", ">") if reduced > 0 else (">", "<")
+            n4 = 4 * abs(reduced)
+            # the opposite side's pivots k have (k - 2s)^2 = (|k| - 2a)^2
+            a = s if reduced < 0 else -s
+            if a <= 0:
+                bound = (
+                    f"is at most (|k| + 2|s|)^2 - {n4}/|k|, which is negative for "
+                    f"every |k| <= {cap}, since t(t + 2|s|)^2 rises with t"
+                )
+            else:
+                if 3 * cap <= 2 * a:
+                    peak = f"rises with t for t <= {2 * a}/3, and {cap} <= {2 * a}/3"
+                else:
+                    peak = (
+                        f"peaks at t = {2 * a}/3 with 32*{a}^3/27, below 4*{cap}^3 <= {n4} "
+                        f"as {cap} > {2 * a}/3, then falls to 0 at t = {2 * a} and rises after"
+                    )
+                bound = (
+                    f"is (|k| - {2 * a})^2 - {n4}/|k|, which is negative for every "
+                    f"|k| <= {cap}, since t(t - {2 * a})^2 {peak}"
+                )
             add(
                 "sign",
-                f"{cap}({cap}{_term(2 * abs(s))})^2 < {4 * abs(reduced)}, so Z {tested} {s}",
+                f"{cap}({cap}{_term(-2 * a)})^2 < {n4}, so Z {tested} {s}",
                 f"When k = {s_minus_z} and {reduced} have opposite signs, the "
-                f"discriminant (k - 2s)^2 + 4({reduced})/k is at most "
-                f"(|k| + 2|s|)^2 - {4 * abs(reduced)}/|k|, which is negative for "
-                f"every |k| <= {cap}, since t(t + 2|s|)^2 rises with t.  So no "
+                f"discriminant (k - 2s)^2 + 4({reduced})/k {bound}.  So no "
                 f"pivot with Z {rootless} {s} has a root.",
             )
         sign_clause = f", with the sign of {reduced}" if one_sign else ""

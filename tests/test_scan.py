@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cubetriples import scan
 from cubetriples.oracle import brute_force
 from cubetriples.scan import ScanRecord, record_to_json, scan_grid
-from cubetriples.solver import Triple, TripleSystem, verify
+from cubetriples.solver import Triple, TripleSystem, completeness_bound, verify
 
 # SHA-256 of the reference grid s in [-50, 50], c in [-200, 200] scanned
 # with solutions, one record_to_json line per point
@@ -77,6 +77,25 @@ def test_worker_count_independence():
     assert [record_to_json(r) for r in sequential] == [
         record_to_json(r) for r in parallel
     ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("include_solutions", [False, True])
+def test_records_are_the_constructors_records(workers, include_solutions):
+    # scan builds its finite records without ScanRecord's constructor and
+    # writes completeness_bound out inline; the first grid has d0 of both
+    # signs, |d0| <= 3 and c = s^3 on every row, the second a 4 501-digit d0
+    grids = [((-3, 3), (-30, 30)), ((10**1500 + 7, 10**1500 + 7), (0, 0))]
+    kinds = set()
+    for s_range, c_range in grids:
+        for record in scan_grid(s_range, c_range, workers=workers, include_solutions=include_solutions):
+            assert type(record) is ScanRecord
+            assert record == ScanRecord(*record)
+            kinds.add(record.kind)
+            if record.kind == "finite":
+                assert record.bound_used == completeness_bound(TripleSystem(record.s, record.c))
+                assert (record.solutions is not None) == include_solutions
+    assert kinds == {"finite", "infinite_family"}
 
 
 def test_finite_records_reverified_by_oracle():

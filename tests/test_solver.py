@@ -138,15 +138,22 @@ def _smooth_sweep_systems() -> list[TripleSystem]:
 SMOOTH_SWEEP = _smooth_sweep_systems()
 
 
+def _side_cubic(system: TripleSystem) -> tuple[int, int, int]:
+    """(L, a, 4|N|) with N = d0/3, L = icbrt(|N|) and a = s if N < 0 else -s:
+    each pivot of the sign opposite to N's is k = +-t with 1 <= t <= L and
+    t * D(k) = t(t - 2a)^2 - 4|N|."""
+    n = system.d0 // 3
+    return icbrt(abs(n)), system.s if n < 0 else -system.s, 4 * abs(n)
+
+
 def _sign_rule_applies(system: TripleSystem) -> bool:
-    """L(L + 2|s|)^2 < 4|N| with N = d0/3 and L = icbrt(|N|): the condition
-    under which the sign rule of the solver docstring skips every pivot of
-    the sign opposite to N's."""
+    """L(L - 2a)^2 < 4|N| with _side_cubic's L, a and N: the condition under
+    which the sign rule of the solver docstring skips every pivot of the
+    sign opposite to N's."""
     if system.d0 % 3 != 0:
         return False
-    n = abs(system.d0 // 3)
-    cap = icbrt(n)
-    return cap * (cap + 2 * abs(system.s)) ** 2 < 4 * n
+    cap, a, n4 = _side_cubic(system)
+    return cap * (cap - 2 * a) ** 2 < n4
 
 
 def _divisors_inside_cap(system: TripleSystem) -> list[int]:
@@ -162,6 +169,26 @@ def _assert_opposite_sign_pivots_rootless(system: TripleSystem) -> None:
     opposite = [-d if n > 0 else d for d in _divisors_inside_cap(system)]
     for k, discriminant in zip(opposite, _discriminants(system.s, n, opposite)):
         assert discriminant < 0, (system, k)
+
+
+def _assert_plan_follows_the_rule(system: TripleSystem) -> bool:
+    """Check solver._tested_ks on a non-degenerate system with 3 | d0: it
+    applies the sign rule exactly where _sign_rule_applies does, and where
+    it does, t(t - 2a)^2 < 4|N| for every integer 1 <= t <= L, not only for
+    divisors, every skipped divisor has a negative discriminant, and the
+    plan keeps every divisor with the sign of N.  Returns whether the rule
+    applied."""
+    _, cap, one_sign, ks = solver._tested_ks(system.s, system.d0)
+    assert one_sign is _sign_rule_applies(system), system
+    divisors = _divisors_inside_cap(system)
+    if not one_sign:
+        assert sorted(ks) == sorted(divisors + [-d for d in divisors]), system
+        return False
+    _, a, n4 = _side_cubic(system)
+    assert all(t * (t - 2 * a) ** 2 < n4 for t in range(1, cap + 1)), system
+    _assert_opposite_sign_pivots_rootless(system)
+    assert sorted(ks) == sorted(d if system.d0 > 0 else -d for d in divisors), system
+    return True
 
 
 def _count_pivots_fed(monkeypatch) -> list[int]:
@@ -371,23 +398,54 @@ class TestSolveQuadraticForX:
 
 class TestSignRule:
     """The inequality behind solve()'s sign rule, checked pivot by pivot
-    whatever solve() does, and solve() at the rule's exact boundary."""
+    whatever solve() does, the plan _tested_ks makes against it, and solve()
+    at the rule's exact boundary."""
+
+    @given(st.integers(min_value=1, max_value=10**40), st.integers(min_value=-(10**14), max_value=10**14))
+    @example(n=8000, a=30)
+    @example(n=8, a=3)
+    @example(n=7, a=2)
+    @example(n=101**3, a=151)
+    def test_local_maximum_never_decides(self, n, a):
+        # for a > 0, t(t - 2a)^2 peaks at t = 2a/3 with 32a^3/27; that peak
+        # lies past L when 3L <= 2a, and is below 4L^3 <= 4n otherwise, so
+        # L(L - 2a)^2 < 4n alone decides the rule
+        cap = icbrt(n)
+        assert 3 * cap <= 2 * a or 32 * a**3 < 108 * n
+
+    def test_tested_pivots_on_reference_grid(self):
+        # the sign rule skips one side at 12 570 of the 13 490 points with
+        # 3 | d0, and 45 218 pivots are left to test
+        plans = [
+            solver._tested_ks(s, c - s**3) for s in range(-50, 51) for c in range(-200, 201) if c != s**3
+        ]
+        plans = [plan for plan in plans if plan is not None]
+        assert len(plans) == 13490
+        assert sum(one_sign for _, _, one_sign, _ in plans) == 12570
+        assert sum(len(ks) for _, _, _, ks in plans) == 45218
 
     def test_opposite_sign_pivots_rootless_on_sweep(self):
-        fired = 0
+        # fired counts the points where the rule applies, and wide those of
+        # them with a > 0, where (t - 2a)^2 < (t + 2|s|)^2
+        fired = wide = 0
         for s in range(-30, 31):
             for c in range(-600, 601):
                 system = TripleSystem(s, c)
-                if not system.degenerate and _sign_rule_applies(system):
-                    _assert_opposite_sign_pivots_rootless(system)
+                if system.degenerate or system.d0 % 3:
+                    continue
+                if _assert_plan_follows_the_rule(system):
                     fired += 1
-        assert fired
+                    wide += _side_cubic(system)[1] > 0
+        assert 0 < wide < fired
 
     @settings(deadline=None)
-    @given(smooth_systems)
+    @given(st.one_of(window_systems, smooth_systems))
+    @example(TripleSystem(-2, 10))
+    @example(TripleSystem(-1, 23))
     def test_opposite_sign_pivots_rootless_on_smooth_d0(self, system):
-        if _sign_rule_applies(system):
-            _assert_opposite_sign_pivots_rootless(system)
+        # smooth d0 and, through window_systems, |s| large against |d0|
+        if not system.degenerate and system.d0 % 3 == 0:
+            _assert_plan_follows_the_rule(system)
 
     def test_opposite_sign_pivots_rootless_on_planted_systems(self):
         for triple in PLANTED_SMALL_SUM:
@@ -398,12 +456,22 @@ class TestSignRule:
     @pytest.mark.parametrize(
         "s,c,solutions,applies",
         [
-            # L(L + 2|s|)^2 = 2 * 6^2 = 72 = 4|N| exactly: the rule must not apply
+            # a = -2: L(L - 2a)^2 = 2 * 6^2 = 72 = 4|N| exactly, so the rule must not apply
             (2, 62, 9, False),
             (-2, -62, 9, False),
-            # 15 * 31^2 = 14415 < 4|N| = 14416: the rule applies by a margin of one
+            # a = -8: 15 * 31^2 = 14415 < 4|N| = 14416, a margin of one
             (8, 11324, 6, True),
             (-8, -11324, 6, True),
+            # a = 30 > 0: L(L - 2a)^2 = 20 * 40^2 = 32000 = 4|N| and
+            # 32a^3 = 864000 = 108|N| exactly, so the rule must not apply
+            (-30, -3000, 10, False),
+            (30, 3000, 10, False),
+            # a = 28: 18 * 38^2 = 25992 = 4|N| exactly, with 3L = 54 <= 2a
+            (-28, -2458, 9, False),
+            (28, 2458, 9, False),
+            # a = 30: 19 * 41^2 = 31939 < 4|N| = 31940, a margin of one
+            (-30, -3045, 0, True),
+            (30, 3045, 0, True),
         ],
     )
     def test_boundary(self, monkeypatch, s, c, solutions, applies):

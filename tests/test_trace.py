@@ -23,8 +23,9 @@ DATA = Path(__file__).parent / "data"
 
 # Together these cover s = 0, s < 0 and s > 0, d0 of either sign, 3 not
 # dividing d0, the degenerate case with s = 0 and s != 0, the cap step with
-# and without the sign step, and every per-pivot note: double root, two
-# roots, negative discriminant, non-square.
+# and without the sign step, the sign step with a = 0 and with a > 0 (see
+# _tested_pivots), and every per-pivot note: double root, two roots,
+# negative discriminant, non-square.
 GOLDEN_SYSTEMS = [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]
 GOLDEN_EXTENSIONS = {"plain": "txt", "markdown": "md", "structured-records": "jsonl"}
 
@@ -35,11 +36,15 @@ SMOOTH_D0_OVER_3 = 2 * 5 * 7 * 11 * 13 * 17 * 19 * 23
 SWEEP_SYSTEMS = [TripleSystem(s, c) for s in range(-6, 7) for c in range(-150, 151)] + [
     TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3) for s in (-3, 0, 5) for sign in (1, -1)
 ]
-SWEEP_SHA256 = "34de3ea685a49f6c5e2d6eb61d69ed3610a0b67527c02da1834dc46740c89de0"
-# d0/3 = +-SMOOTH_D0_OVER_3 again: the sign rule applies at |s| = 200
-# (420 * 820^2 < 4 * SMOOTH_D0_OVER_3) and not at |s| = 250
+SWEEP_SHA256 = "dcfb713023f9200dd71e2ee724091412507a60b7ea61e8406b06bf336112770c"
+# d0/3 = +-SMOOTH_D0_OVER_3 again, so L = 420 and the sign rule reads
+# 420(420 - 2a)^2 < 4 * SMOOTH_D0_OVER_3: it applies at a = -200
+# (420 * 820^2 is below) and not at a = -250, and it applies at a = 630
+# (420 * 840^2 is below) and not at a = 631
 SIGN_EDGE_SYSTEMS = [
-    TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3) for s in (-250, -200, 200, 250) for sign in (1, -1)
+    TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3)
+    for s in (-631, -630, -250, -200, 200, 250, 630, 631)
+    for sign in (1, -1)
 ]
 PRIMES_TO_47 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -58,13 +63,15 @@ def _tested_pivots(system: TripleSystem) -> tuple[bool, list[int]]:
     """Whether the sign rule applies, and the ascending pivots Z = s - k that
     solve tests, found without the solver: every k with k | d0/3 and
     |k|^3 <= |d0/3| by dividing d0/3 by each candidate, then only the k with
-    the sign of d0/3 when L(L + 2|s|)^2 < 4|d0/3|."""
+    the sign of d0/3 when L(L - 2a)^2 < 4|d0/3|, where L = icbrt(|d0/3|) and
+    a = s if d0 < 0 else -s."""
     if system.d0 % 3:
         return False, []
     n = system.d0 // 3
     cap = _cube_root_floor(abs(n))
     ks = [k for d in range(1, cap + 1) if n % d == 0 for k in (d, -d)]
-    one_sign = cap * (cap + 2 * abs(system.s)) ** 2 < 4 * abs(n)
+    a = system.s if n < 0 else -system.s
+    one_sign = cap * (cap - 2 * a) ** 2 < 4 * abs(n)
     if one_sign:
         ks = [k for k in ks if (k > 0) == (n > 0)]
     return one_sign, sorted(system.s - k for k in ks)
@@ -134,7 +141,11 @@ class TestDeriveTrace:
             assert step.equation_text == f"Z in {{{', '.join(map(str, pivots))}}}", system
             assert any(s.label == "sign" for s in trace) == one_sign, system
             assert trace[-1].equation_text == format_solution_set(solve(system)), system
-        assert [_tested_pivots(system)[0] for system in SIGN_EDGE_SYSTEMS] == [False] * 2 + [True] * 4 + [False] * 2
+        # (s, +1) has a = -s and (s, -1) has a = s
+        assert [_tested_pivots(system)[0] for system in SIGN_EDGE_SYSTEMS] == [
+            False, False, True, False, True, False, True, True,
+            True, True, False, True, False, True, False, False,
+        ]
 
     def test_primorial_47_steps_are_the_tested_pivots(self):
         # d0/3 = 2*3*5*...*47 has 32768 positive divisors; with s = 0 the sign
