@@ -218,3 +218,34 @@ def test_agreement_with_solver_at_bound_near_1e5(s, c, bound, orbits):
     triples = brute_force(system, bound)
     assert triples == list(solve(system).triples)
     assert len({tuple(sorted(t.as_tuple())) for t in triples}) == orbits
+
+
+def _gallop_boxes():
+    # boxes with bounds of 100 to 400, where runs of bracketed rows are long
+    # enough to gallop over; s < 0 puts rows on both sides of x = s, and each
+    # seeded box holds its planted triple if the triple fits
+    rng = random.Random(2012)
+    for _ in range(40):
+        s, bound = rng.randint(-300, 300), rng.randint(100, 400)
+        x, y = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        yield s, x**3 + y**3 + (s - x - y) ** 3, bound
+    yield from [
+        # t > 0 on every row, and one gallop skips 391 of them
+        (3, 3, 400),
+        # rows run past x = s into t < 0; the run of bracketed rows with
+        # y = -53 ends on row -93, and row -92 has its hit on that column
+        (-52, -123208, 100),
+        # the run with y = -21 ends on row -75, and row -74 has its hit on
+        # column y + 1 = -20
+        (-25, -84715, 100),
+        # a run ends on row s - 1 = -149; its probes of rows at and past
+        # x = s find no bracket
+        (-148, -3241796, 294),
+        # a degenerate box: every column of the row x = s (t = 0) is a hit
+        (-60, -216000, 100),
+    ]
+
+
+@pytest.mark.parametrize("s, c, bound", list(_gallop_boxes()))
+def test_gallop_equals_triangle(s, c, bound):
+    assert brute_force(TripleSystem(s, c), bound) == _sweep_python(TripleSystem(s, c), bound)
