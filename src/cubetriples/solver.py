@@ -166,22 +166,28 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
 
 
 def _tested_ks(s: int, d0: int) -> tuple[int, int, bool, list[int]] | None:
-    """The pivot plan of the system with sum s and d0 = c - s^3 != 0: the
-    one place that decides which pivots solve() and derive_trace test.
-
-    None when no pivot is admissible, which is when 3 does not divide d0.
-    Otherwise (reduced, L, one_sign, ks): reduced = d0/3, the cap
-    L = icbrt(|reduced|), whether the sign rule L(L - 2a)^2 < 4|reduced|
-    applies, with a = s if reduced < 0 else -s, and the pivots k = s - z in
-    no particular order, each divisor d <= L of reduced as k = d and k = -d,
-    or only with the sign of reduced under the sign rule.  The module
-    docstring proves the cap and the sign rule.
-    """
+    """The pivot plan of the system with sum s and d0 = c - s^3 != 0, which
+    solve() and derive_trace test: None when no pivot is admissible, which
+    is when 3 does not divide d0, else _pivot_plan's plan for the divisors
+    d <= L = icbrt(|d0/3|) of d0/3 that _divisors_up_to lists."""
     if d0 % 3 != 0:
         return None
     reduced = d0 // 3
     cap = icbrt(abs(reduced))
-    divisors = _divisors_up_to(reduced, cap)
+    return _pivot_plan(s, reduced, cap, _divisors_up_to(reduced, cap))
+
+
+def _pivot_plan(s: int, reduced: int, cap: int, divisors: list[int]) -> tuple[int, int, bool, list[int]]:
+    """(reduced, L, one_sign, ks): the one place that decides which pivots
+    are tested, for reduced = d0/3 != 0, the cap L = icbrt(|reduced|) and
+    divisors, every positive divisor d <= L of reduced in any order.
+
+    one_sign is whether the sign rule L(L - 2a)^2 < 4|reduced| applies,
+    with a = s if reduced < 0 else -s, and ks are the pivots k = s - z in
+    no particular order: each divisor as k = d and k = -d, or only with the
+    sign of reduced under the sign rule.  The module docstring proves the
+    cap and the sign rule.  The result may be divisors itself.
+    """
     # L - 2a is L + 2s when reduced > 0 and L - 2s when reduced < 0
     if reduced > 0:
         if cap * (cap + 2 * s) ** 2 < 4 * reduced:
@@ -251,13 +257,9 @@ def completeness_bound(system: TripleSystem) -> int:
     return abs(system.s) + max(1, abs(d0) // 3)
 
 
-def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
-    """The sorted solution triples of the system with sum s and
-    d0 = c - s^3 != 0; see solve() for the method."""
-    plan = _tested_ks(s, d0)
-    if plan is None:
-        return ()
-    reduced, _, _, ks = plan
+def _solutions(s: int, reduced: int, ks: list[int]) -> tuple[Triple, ...]:
+    """The sorted solution triples the pivots ks of a plan for sum s and
+    d0/3 = reduced find, closed under permutations."""
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
@@ -266,6 +268,16 @@ def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
     if not hits:
         return ()
     return _closure(s, [(s - k, _roots(k, discriminant)) for k, discriminant in hits])
+
+
+def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
+    """The sorted solution triples of the system with sum s and
+    d0 = c - s^3 != 0; see solve() for the method."""
+    plan = _tested_ks(s, d0)
+    if plan is None:
+        return ()
+    reduced, _, _, ks = plan
+    return _solutions(s, reduced, ks)
 
 
 def solve(system: TripleSystem) -> SolutionSet:

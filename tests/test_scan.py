@@ -3,12 +3,13 @@
 import concurrent.futures
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubetriples import scan
+from cubetriples import intmath, scan, solver
 from cubetriples.oracle import brute_force
 from cubetriples.scan import ScanRecord, record_to_json, scan_grid
 from cubetriples.solver import Triple, TripleSystem, completeness_bound, verify
@@ -170,21 +171,125 @@ def test_parallel_scan_submits_a_bounded_number_of_tasks(monkeypatch):
     assert submitted == [(s, 0, 3, False) for s in range(len(submitted))]
 
 
-def test_one_worker_streams_point_by_point(monkeypatch):
-    # the first record costs one solve, not a span's worth of them
-    solved = []
-    solve_finite = scan._solve_finite
+def _record_plans(monkeypatch) -> list[tuple[int, int, int, list[int]]]:
+    """Wrap solver._pivot_plan, and the name scan imports it under, so that
+    both scan paths are seen; the returned list collects (s, reduced, cap,
+    sorted pivots) of each call."""
+    plans: list[tuple[int, int, int, list[int]]] = []
+    original = solver._pivot_plan
+
+    def recording(s, reduced, cap, divisors):
+        plan = original(s, reduced, cap, divisors)
+        plans.append((s, reduced, cap, sorted(plan[3])))
+        return plan
+
+    monkeypatch.setattr(solver, "_pivot_plan", recording)
+    monkeypatch.setattr(scan, "_pivot_plan", recording)
+    return plans
+
+
+def _record_point_solves(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap scan._solve_finite, which only the per-point path calls; the
+    returned list collects the (s, d0) of each call."""
+    solved: list[tuple[int, int]] = []
+    original = scan._solve_finite
 
     def counting(s, d0):
         solved.append((s, d0))
-        return solve_finite(s, d0)
+        return original(s, d0)
 
     monkeypatch.setattr(scan, "_solve_finite", counting)
-    records = scan_grid((7, 7), (0, 2 * scan.SPAN_POINTS), workers=1)
-    first = next(records)
-    assert (first.s, first.c) == (7, 0)
-    records.close()
-    assert solved == [(7, -343)]
+    return solved
+
+
+def test_one_worker_streams_point_by_point(monkeypatch):
+    # the first record costs one pivot plan, not a span's worth of them, on
+    # a sieved span and on one with a cap of about 2.2e5 that is not; both
+    # start at a point with 3 | d0
+    plans = _record_plans(monkeypatch)
+    solved = _record_point_solves(monkeypatch)
+    for s, c_lo, sieved in [(7, 346, True), (0, 3 * 10**16, False)]:
+        records = scan_grid((s, s), (c_lo, c_lo + 2 * scan.SPAN_POINTS), workers=1)
+        first = next(records)
+        assert (first.s, first.c) == (s, c_lo)
+        records.close()
+        assert [plan[:2] for plan in plans] == [(s, (c_lo - s**3) // 3)]
+        assert solved == ([] if sieved else [(s, c_lo - s**3)])
+        plans.clear()
+        solved.clear()
+
+
+def _sieve_boundary_span(side: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A grid of one full span at s = 0 whose ceil(SPAN_POINTS/3) values of
+    N end at K^3 + 100, so that K is its largest cap: SIEVE_RATIO times
+    that count, plus side."""
+    cap = scan.SIEVE_RATIO * -(-scan.SPAN_POINTS // 3) + side
+    c_hi = 3 * (cap**3 + 100)
+    return (0, 0), (c_hi - scan.SPAN_POINTS + 1, c_hi)
+
+
+def _random_grids(count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Seeded grids of one row each, 1 to 600 points wide, near c = s^3."""
+    rng = random.Random(29)
+    grids = []
+    for _ in range(count):
+        s = rng.randint(-40, 40)
+        c_lo = s**3 + rng.randint(-3000, 3000)
+        grids.append(((s, s), (c_lo, c_lo + rng.randint(0, 599))))
+    return grids
+
+
+@pytest.mark.parametrize(
+    "s_range,c_range,point_spans",
+    [
+        # N from -85 to 85: c = s^3 mid-span, and |N| crosses 1, 8, 27 and 64
+        # both falling and rising
+        pytest.param((4, 4), (64 - 255, 64 + 256), 0, id="through-c-equals-s-cubed"),
+        # N from -1100 to -934 only, so |N| falls through 1000
+        pytest.param((0, 0), (-3300, -2800), 0, id="negative-n-only"),
+        # N from 934 to 1100, so |N| rises through 1000
+        pytest.param((0, 0), (2800, 3300), 0, id="positive-n-only"),
+        # no point with 3 | d0
+        pytest.param((1, 1), (2, 3), 1, id="two-points-no-n"),
+        pytest.param((0, 0), (1, 1), 1, id="one-point-no-n"),
+        # two rows of two full spans, with c = s^3 in the first, and a last
+        # partial span of 61 points
+        pytest.param((9, 10), (700, 700 + 2 * scan.SPAN_POINTS + 60), 0, id="last-partial-span"),
+        pytest.param(*_sieve_boundary_span(0), 0, id="largest-sieved-cap"),
+        pytest.param(*_sieve_boundary_span(1), 1, id="smallest-unsieved-cap"),
+        *(pytest.param(*grid, None, id=f"random-{i}") for i, grid in enumerate(_random_grids(12))),
+    ],
+)
+def test_sieved_spans_match_the_point_path(monkeypatch, s_range, c_range, point_spans):
+    # every record, and every pivot plan with its cap and pivots, is the one
+    # the per-point path makes for the same point
+    records, plans = [], []
+    for s in range(s_range[0], s_range[1] + 1):
+        for c in range(c_range[0], c_range[1] + 1):
+            d0 = c - s**3
+            if d0 == 0:
+                records.append(ScanRecord(s, c, "infinite_family"))
+                continue
+            plan = solver._tested_ks(s, d0)
+            if plan is not None:
+                plans.append((s, plan[0], plan[1], sorted(plan[3])))
+            triples = solver._solve_finite(s, d0)
+            records.append(ScanRecord(s, c, "finite", len(triples), triples, completeness_bound(TripleSystem(s, c))))
+    seen_plans = _record_plans(monkeypatch)
+    solved = _record_point_solves(monkeypatch)
+    assert list(scan_grid(s_range, c_range, include_solutions=True)) == records
+    assert seen_plans == plans
+    # only the per-point path calls _solve_finite, at every point but c = s^3
+    if point_spans is not None:
+        assert len({(s, (s**3 + d0 - c_range[0]) // scan.SPAN_POINTS) for s, d0 in solved}) == point_spans
+
+
+def test_sieved_spans_are_spans_the_point_path_completes():
+    # a span is sieved only when its largest cap is at most SIEVE_RATIO
+    # times its count of N, at most ceil(SPAN_POINTS / 3); up to
+    # TRIAL_LIMIT the per-point path proves its divisors complete and never
+    # raises, so both paths give the same records wherever the sieve runs
+    assert scan.SIEVE_RATIO * -(-scan.SPAN_POINTS // 3) <= intmath.TRIAL_LIMIT
 
 
 class _InlinePool:
