@@ -13,19 +13,26 @@ in (s, c) ascending order and identical at every worker count.
 
 Along a span, the points with 3 | d0 have N = d0/3 running over the
 consecutive integers n_lo .. n_hi, and the solver tests the divisors
-k <= L = icbrt(|N|) of each.  So where the largest cap K = icbrt(max |N|)
-is small next to the count of N, _row sieves them with one lazy divisor
-sieve (O'Neill 2009, J. Functional Programming 19) in place of
-_solve_finite's per-point division or factoring.  A dict of buckets keyed
-by N starts with each k <= K in the bucket of its first multiple from n_lo
-on, ceil(n_lo/k)*k.  At each N the bucket of N is popped and each k in it
-is pushed to N + k, its next multiple.  By induction every k sits in the
-bucket of its least multiple not yet passed, so the bucket popped at N
-holds exactly the k <= K that divide N: for N = 0 at c = s^3 every k, and
-for negative N as for positive.  L is kept by stepping it up or down by
-one as |N| moves by one, and the k <= L then go to the same _pivot_plan
-and _solutions that _solve_finite reaches, so both paths share the sign
-rule, the square filter and the closure.
+k <= L = icbrt(|N|) of each.  _row walks every span with one loop over c.
+A point with 3 not dividing d0 gets the empty record, c = s^3 the infinite
+family, and every other point the pivots of one plan, run through
+_solutions and built into its record by the same lines.  Only the plan's
+source depends on the span.  Where the largest cap K = icbrt(max |N|) is
+small next to the count of N, the span is sieved: one lazy divisor sieve
+(O'Neill 2009, J. Functional Programming 19) lists the divisors, and
+_pivot_plan applies the sign rule to them.  Elsewhere each point takes
+solve()'s plan, _tested_ks(s, d0), which divides or factors N.  A span with
+no point where 3 | d0 calls neither.
+
+The sieve is a dict of buckets keyed by N.  It starts with each k <= K in
+the bucket of its first multiple from n_lo on, ceil(n_lo/k)*k.  At each N
+the bucket of N is popped and each k in it is pushed to N + k, its next
+multiple.  By induction every k sits in the bucket of its least multiple
+not yet passed, so the bucket popped at N holds exactly the k <= K that
+divide N: for N = 0 at c = s^3 every k, and for negative N as for
+positive.  L is kept by stepping it up or down by one as |N| moves by one,
+and the k <= L go to _pivot_plan.  Bucket seeding and the stepped cap run
+on sieved spans only.
 
 A span is sieved when K <= SIEVE_RATIO * (n_hi - n_lo + 1).  Its cost is
 about K for the first buckets plus ln K per N, against per-point division
@@ -34,9 +41,11 @@ sieved span of ceil(SPAN_POINTS/3) = 171 values of N took 0.51 of the
 per-point time, one of 34 values 0.83 and one of 11 about 1.0; at 200
 those read 1.01, 1.02 and 1.57 (best of 5, median over s = 0, -7, 31 and
 200, Python 3.11 on a 2-core Xeon).  So the largest sieved cap is
-100 * 171 = 17 100, below TRIAL_LIMIT: a sieved span only holds points at
-which _solve_finite proves its divisors complete and never raises, and the
-two paths give the same records.
+100 * 171 = 17 100, below TRIAL_LIMIT.  That is the invariant the two
+sources rest on: a sieved span never holds a point where _tested_ks could
+raise, so its records are the ones solve() gives, and only spans that are
+not sieved can raise IncompleteFactorizationError, at the point where
+solve() would.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from collections import deque
 from typing import Any, Iterator, NamedTuple
 
 from .intmath import icbrt
-from .solver import Triple, _pivot_plan, _solutions, _solve_finite
+from .solver import Triple, _pivot_plan, _solutions, _tested_ks
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 
@@ -112,29 +121,19 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
     n_hi = (c_hi - s3) // 3
     # the largest cap, at least 1 so that every n's bucket holds k = 1
     top = icbrt(max(-n_lo, n_hi, 1))
-    # both paths build finite records with tuple.__new__, which skips
-    # ScanRecord's Python-level __new__, and write the last field out as
+    sieved = top <= SIEVE_RATIO * (n_hi - n_lo + 1)
+    if sieved:
+        # buckets[n] holds each k <= top whose next multiple from n_lo on is n
+        buckets: dict[int, list[int]] = {}
+        for k in range(1, top + 1):
+            buckets.setdefault(-(-n_lo // k) * k, []).append(k)
+        # cap = icbrt(|n|) with low = cap^3 <= |n| < high = (cap + 1)^3
+        cap = icbrt(abs(n_lo))
+        low = cap**3
+        high = (cap + 1) ** 3
+    # finite records are built with tuple.__new__, which skips ScanRecord's
+    # Python-level __new__, and write the last field out as
     # completeness_bound: both are per-point costs
-    if top > SIEVE_RATIO * (n_hi - n_lo + 1):
-        for c in range(c_lo, c_hi + 1):
-            d0 = c - s3
-            if d0 == 0:
-                yield ScanRecord(s, c, "infinite_family")
-                continue
-            triples = _solve_finite(s, d0)
-            yield tuple.__new__(
-                ScanRecord,
-                (s, c, "finite", len(triples), triples if include_solutions else None, abs_s + (abs(d0) // 3 or 1)),
-            )
-        return
-    # buckets[n] holds each k <= top whose next multiple from n_lo on is n
-    buckets: dict[int, list[int]] = {}
-    for k in range(1, top + 1):
-        buckets.setdefault(-(-n_lo // k) * k, []).append(k)
-    # cap = icbrt(|n|) with low = cap^3 <= |n| < high = (cap + 1)^3
-    cap = icbrt(abs(n_lo))
-    low = cap**3
-    high = (cap + 1) ** 3
     empty = () if include_solutions else None
     for c in range(c_lo, c_hi + 1):
         d0 = c - s3
@@ -142,22 +141,26 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
             yield tuple.__new__(ScanRecord, (s, c, "finite", 0, empty, abs_s + (abs(d0) // 3 or 1)))
             continue
         n = d0 // 3
-        ks = buckets.pop(n)
-        for k in ks:
-            buckets.setdefault(n + k, []).append(k)
         size = abs(n)
-        if size < low:
-            cap -= 1
-            high = low
-            low = cap**3
-        elif size >= high:
-            cap += 1
-            low = high
-            high = (cap + 1) ** 3
+        if sieved:
+            ks = buckets.pop(n)
+            for k in ks:
+                buckets.setdefault(n + k, []).append(k)
+            if size < low:
+                cap -= 1
+                high = low
+                low = cap**3
+            elif size >= high:
+                cap += 1
+                low = high
+                high = (cap + 1) ** 3
         if n == 0:
             yield ScanRecord(s, c, "infinite_family")
             continue
-        plan = _pivot_plan(s, n, cap, ks if cap == top else [k for k in ks if k <= cap])
+        if sieved:
+            plan = _pivot_plan(s, n, cap, ks if cap == top else [k for k in ks if k <= cap])
+        else:
+            plan = _tested_ks(s, d0)
         triples = _solutions(s, n, plan[3])
         yield tuple.__new__(
             ScanRecord, (s, c, "finite", len(triples), triples if include_solutions else None, abs_s + size)

@@ -128,12 +128,26 @@ class SolutionSet(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "SolutionSet":
+        """The solution set whose to_json_dict() is data.  ValueError for
+        anything to_json_dict() cannot write: data that is not a dict, an
+        unknown kind, a missing key, a solution that is not a list of
+        exactly three ints, or an anchor that is not an int; a bool, a
+        float or a string is not an int here."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a solution set is a dict, not {type(data).__name__}")
         kind = data.get("kind")
         if kind == "finite":
-            triples = tuple(Triple(*map(int, sol)) for sol in data["solutions"])
-            return cls.finite(triples)
+            solutions = data.get("solutions")
+            if type(solutions) is not list or not all(
+                type(t) is list and len(t) == 3 and all(type(v) is int for v in t) for t in solutions
+            ):
+                raise ValueError("a finite solution set needs solutions, a list of [x, y, z] int lists")
+            return cls.finite(tuple(Triple(*t) for t in solutions))
         if kind == "infinite_family":
-            return cls.infinite_family(int(data["family_anchor"]))
+            anchor = data.get("family_anchor")
+            if type(anchor) is not int:
+                raise ValueError("an infinite family needs family_anchor, an int")
+            return cls.infinite_family(anchor)
         raise ValueError(f"unknown solution-set kind {kind!r}")
 
 
@@ -270,34 +284,27 @@ def _solutions(s: int, reduced: int, ks: list[int]) -> tuple[Triple, ...]:
     return _closure(s, [(s - k, _roots(k, discriminant)) for k, discriminant in hits])
 
 
-def _solve_finite(s: int, d0: int) -> tuple[Triple, ...]:
-    """The sorted solution triples of the system with sum s and
-    d0 = c - s^3 != 0; see solve() for the method."""
-    plan = _tested_ks(s, d0)
-    if plan is None:
-        return ()
-    reduced, _, _, ks = plan
-    return _solutions(s, reduced, ks)
-
-
 def solve(system: TripleSystem) -> SolutionSet:
     """The complete solution set of the system.
 
     Degenerate systems (c = s^3) return the symbolic infinite family.
-    Otherwise the finite set is assembled by running the quadratic at every
-    pivot of the plan _tested_ks makes, none unless 3 | d0, and closing the
-    roots under the 6 coordinate permutations; the result is duplicate-free
-    and sorted lexicographically.  The plan's pivots lie inside the
-    cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign only when
-    the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if d0 < 0 else -s,
-    and the module docstring proves that they find every solution.
+    Otherwise solve reads the pivot plan _tested_ks makes, as derive_trace
+    does: None, and the empty set, unless 3 | d0.  _solutions then runs the
+    quadratic at every pivot of the plan and closes the roots under the 6
+    coordinate permutations, as it does for scan's sieved spans; the result
+    is duplicate-free and sorted lexicographically.  The plan's pivots lie
+    inside the cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign
+    only when the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if
+    d0 < 0 else -s, and the module docstring proves that they find every
+    solution.
     For L up to 128 the divisors are found by dividing d0/3 by every
     k <= L.  Above that, trial division of d0/3 up to min(L, 10^6) proves
     the divisor list complete.  It stops early, past 1021, at a cofactor
     that Miller-Rabin certifies prime, and when L passes 10^6 the cofactor
     left there must be certified prime.
     """
-    d0 = system.d0
+    s, d0 = system.s, system.d0
     if d0 == 0:
-        return SolutionSet.infinite_family(system.s)
-    return SolutionSet.finite(_solve_finite(system.s, d0))
+        return SolutionSet.infinite_family(s)
+    plan = _tested_ks(s, d0)
+    return SolutionSet.finite(() if plan is None else _solutions(s, plan[0], plan[3]))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cubetriples import intmath, scan, solver
 from cubetriples.oracle import brute_force
 from cubetriples.scan import ScanRecord, record_to_json, scan_grid
-from cubetriples.solver import Triple, TripleSystem, completeness_bound, verify
+from cubetriples.solver import Triple, TripleSystem, completeness_bound, solve, verify
 
 # SHA-256 of the reference grid s in [-50, 50], c in [-200, 200] scanned
 # with solutions, one record_to_json line per point
@@ -189,16 +189,16 @@ def _record_plans(monkeypatch) -> list[tuple[int, int, int, list[int]]]:
 
 
 def _record_point_solves(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap scan._solve_finite, which only the per-point path calls; the
+    """Wrap scan._tested_ks, which only spans that are not sieved call; the
     returned list collects the (s, d0) of each call."""
     solved: list[tuple[int, int]] = []
-    original = scan._solve_finite
+    original = scan._tested_ks
 
     def counting(s, d0):
         solved.append((s, d0))
         return original(s, d0)
 
-    monkeypatch.setattr(scan, "_solve_finite", counting)
+    monkeypatch.setattr(scan, "_tested_ks", counting)
     return solved
 
 
@@ -249,9 +249,9 @@ def _random_grids(count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         pytest.param((0, 0), (-3300, -2800), 0, id="negative-n-only"),
         # N from 934 to 1100, so |N| rises through 1000
         pytest.param((0, 0), (2800, 3300), 0, id="positive-n-only"),
-        # no point with 3 | d0
-        pytest.param((1, 1), (2, 3), 1, id="two-points-no-n"),
-        pytest.param((0, 0), (1, 1), 1, id="one-point-no-n"),
+        # no point with 3 | d0, so neither divisor source is called
+        pytest.param((1, 1), (2, 3), 0, id="two-points-no-n"),
+        pytest.param((0, 0), (1, 1), 0, id="one-point-no-n"),
         # two rows of two full spans, with c = s^3 in the first, and a last
         # partial span of 61 points
         pytest.param((9, 10), (700, 700 + 2 * scan.SPAN_POINTS + 60), 0, id="last-partial-span"),
@@ -261,25 +261,28 @@ def _random_grids(count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     ],
 )
 def test_sieved_spans_match_the_point_path(monkeypatch, s_range, c_range, point_spans):
-    # every record, and every pivot plan with its cap and pivots, is the one
-    # the per-point path makes for the same point
+    # every record is the one solve() gives, and every pivot plan with its
+    # cap and pivots the one _tested_ks makes for the same point
     records, plans = [], []
     for s in range(s_range[0], s_range[1] + 1):
         for c in range(c_range[0], c_range[1] + 1):
-            d0 = c - s**3
-            if d0 == 0:
+            system = TripleSystem(s, c)
+            result = solve(system)
+            if result.kind == "infinite_family":
                 records.append(ScanRecord(s, c, "infinite_family"))
                 continue
-            plan = solver._tested_ks(s, d0)
+            plan = solver._tested_ks(s, system.d0)
             if plan is not None:
                 plans.append((s, plan[0], plan[1], sorted(plan[3])))
-            triples = solver._solve_finite(s, d0)
-            records.append(ScanRecord(s, c, "finite", len(triples), triples, completeness_bound(TripleSystem(s, c))))
+            records.append(
+                ScanRecord(s, c, "finite", len(result.triples), result.triples, completeness_bound(system))
+            )
     seen_plans = _record_plans(monkeypatch)
     solved = _record_point_solves(monkeypatch)
     assert list(scan_grid(s_range, c_range, include_solutions=True)) == records
     assert seen_plans == plans
-    # only the per-point path calls _solve_finite, at every point but c = s^3
+    # only spans that are not sieved call scan._tested_ks, at every point
+    # with 3 | d0 but c = s^3
     if point_spans is not None:
         assert len({(s, (s**3 + d0 - c_range[0]) // scan.SPAN_POINTS) for s, d0 in solved}) == point_spans
 
@@ -290,6 +293,44 @@ def test_sieved_spans_are_spans_the_point_path_completes():
     # TRIAL_LIMIT the per-point path proves its divisors complete and never
     # raises, so both paths give the same records wherever the sieve runs
     assert scan.SIEVE_RATIO * -(-scan.SPAN_POINTS // 3) <= intmath.TRIAL_LIMIT
+
+
+# d0/3 = 8 * 1000003 * 1000033 * 1000037 at (0, C): its cap passes the trial
+# limit and the 60-bit cofactor left there is composite
+PQR = 1000003 * 1000033 * 1000037
+UNFACTORED_C = 24 * PQR
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "s_range,c_range,n",
+    [
+        ((0, 1), (UNFACTORED_C - 2, UNFACTORED_C + 2), 8 * PQR),
+        ((0, 0), (-UNFACTORED_C - 2, -UNFACTORED_C + 2), -8 * PQR),
+    ],
+    ids=["two-rows", "negative-row"],
+)
+def test_scan_raises_where_solve_raises(s_range, c_range, n, workers):
+    # the error is solve's first one in (s, c) order, and with one worker
+    # every record before it is solve's
+    points = [(s, c) for s in range(s_range[0], s_range[1] + 1) for c in range(c_range[0], c_range[1] + 1)]
+    expected, first_failure = [], None
+    for s, c in points:
+        try:
+            result = solve(TripleSystem(s, c))
+        except intmath.IncompleteFactorizationError as error:
+            first_failure = (error.n, error.cofactor)
+            break
+        expected.append(ScanRecord(s, c, "finite", len(result.triples), None, completeness_bound(TripleSystem(s, c))))
+    assert first_failure == (n, PQR)
+    assert len(expected) == 2
+    seen = []
+    with pytest.raises(intmath.IncompleteFactorizationError) as raised:
+        for record in scan_grid(s_range, c_range, workers=workers):
+            seen.append(record)
+    assert (raised.value.n, raised.value.cofactor) == first_failure
+    if workers == 1:
+        assert seen == expected
 
 
 class _InlinePool:

@@ -803,5 +803,28 @@ class TestSolutionSetJson:
         assert SolutionSet.from_json_dict(data) == original
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SolutionSet.from_json_dict({"kind": "mystery"})
+        for data in [
+            {"kind": "mystery"},
+            # anything else to_json_dict cannot write
+            [],
+            "finite",
+            None,
+            {},
+            {"kind": "finite"},
+            {"kind": "infinite_family"},
+            {"kind": "finite", "solutions": None},
+            {"kind": "finite", "solutions": (1, 2, 3)},
+            {"kind": "finite", "solutions": [1, 2, 3]},
+            {"kind": "finite", "solutions": [[1, 2]]},
+            {"kind": "finite", "solutions": [[1, 2, 3, 4]]},
+            {"kind": "finite", "solutions": [[1.5, 2, 3]]},
+            {"kind": "finite", "solutions": [[True, 2, 3]]},
+            {"kind": "finite", "solutions": [["12", 2, 3]]},
+            {"kind": "finite", "solutions": ["123"]},
+            {"kind": "infinite_family", "family_anchor": 1.5},
+            {"kind": "infinite_family", "family_anchor": True},
+            {"kind": "infinite_family", "family_anchor": "12"},
+            {"kind": "infinite_family", "family_anchor": None},
+        ]:
+            with pytest.raises(ValueError):
+                SolutionSet.from_json_dict(data)
