@@ -12,40 +12,76 @@ spans' records are yielded in submission order.  Either way the stream is
 in (s, c) ascending order and identical at every worker count.
 
 Along a span, the points with 3 | d0 have N = d0/3 running over the
-consecutive integers n_lo .. n_hi, and the solver tests the divisors
-k <= L = icbrt(|N|) of each.  _row walks every span with one loop over c.
-A point with 3 not dividing d0 gets the empty record, c = s^3 the infinite
-family, and every other point the pivots of one plan, run through
-_solutions and built into its record by the same lines.  Only the plan's
-source depends on the span.  Where the largest cap K = icbrt(max |N|) is
-small next to the count of N, the span is sieved: one lazy divisor sieve
-(O'Neill 2009, J. Functional Programming 19) lists the divisors, and
-_pivot_plan applies the sign rule to them.  Elsewhere each point takes
-solve()'s plan, _tested_ks(s, d0), which divides or factors N.  A span with
-no point where 3 | d0 calls neither.
+consecutive integers n_lo .. n_hi.  _row walks every span with one loop
+over c.  A point with 3 not dividing d0 gets the empty record, c = s^3 the
+infinite family, and every other point the record its solutions give, built
+by the same lines.  Only where the solutions come from depends on the span.
+Where the largest cap K = icbrt(max |N|) is small next to the count of N,
+_span_solutions lists the solutions of the whole span at once, and each N
+with any gets its record from _closure; every other N has none.  Elsewhere
+each point takes solve()'s plan, _tested_ks(s, d0), which divides or
+factors N, and _solutions.  A span with no point where 3 | d0 calls
+neither.
 
-The sieve is a dict of buckets keyed by N.  It starts with each k <= K in
-the bucket of its first multiple from n_lo on, ceil(n_lo/k)*k.  At each N
-the bucket of N is popped and each k in it is pushed to N + k, its next
-multiple.  By induction every k sits in the bucket of its least multiple
-not yet passed, so the bucket popped at N holds exactly the k <= K that
-divide N: for N = 0 at c = s^3 every k, and for negative N as for
-positive.  L is kept by stepping it up or down by one as |N| moves by one,
-and the k <= L go to _pivot_plan.  Bucket seeding and the stepped cap run
-on sieved spans only.
+The enumeration turns the identity of the solver's module docstring
+around.  For a solution (X, Y, Z) write u = s - X, v = s - Y, w = s - Z.
+Then u + v + w = 2s and uvw = -N, so N != 0 makes all three nonzero.  Take
+w a coordinate of least |.|, t = |w|: then t^3 <= |uvw| = |N|, so
+t <= icbrt(|N|) <= K.  Put m = u + v = 2s - w and e = |u - v|; then
+uv = (m^2 - e^2)/4, e = m (mod 2) and N = -w*uv, so w divides N and each
+u, v = (m +- e)/2 comes back from e.  So for each t <= K and each side
+w = +-t, uv runs over the integers q between the quotients -N/w of the N
+of the span that w divides, and e^2 = m^2 - 4q over an interval; every e
+of the right parity there is a solution.  The span is split into its N < 0
+and its N > 0, so that uv has one sign on each side of each part:
 
-A span is sieved when K <= SIEVE_RATIO * (n_hi - n_lo + 1).  Its cost is
-about K for the first buckets plus ln K per N, against per-point division
-up to L <= 128 and trial division above that.  With SIEVE_RATIO = 100, a
-sieved span of ceil(SPAN_POINTS/3) = 171 values of N took 0.51 of the
-per-point time, one of 34 values 0.83 and one of 11 about 1.0; at 200
-those read 1.01, 1.02 and 1.57 (best of 5, median over s = 0, -7, 31 and
-200, Python 3.11 on a 2-core Xeon).  So the largest sieved cap is
-100 * 171 = 17 100, below TRIAL_LIMIT.  That is the invariant the two
-sources rest on: a sieved span never holds a point where _tested_ks could
-raise, so its records are the ones solve() gives, and only spans that are
-not sieved can raise IncompleteFactorizationError, at the point where
-solve() would.
+- uv < 0 (w with the sign of N): u and v have opposite signs, so
+  e = |u| + |v| and |m| = ||u| - |v||.  |u|, |v| >= t then reads
+  e >= |m| + 2t, and |N| = t|u||v| >= t^2(t + |m|).  That bound rises
+  with t (|m| changes by 1 per step of t, so its derivative is at least
+  2t^2), so once t(t + |m|) passes the largest quotient |N|/t, this side
+  is done for good.
+- uv > 0 (w with the sign opposite to N's): |m| = |u| + |v| and
+  e = ||u| - |v||, so |u|, |v| >= t reads e <= |m| - 2t, which needs
+  |m| >= 2t, and uv <= m^2/4 gives t*m^2 >= 4|N|.  With a = s if N < 0
+  else -s, as in the sign rule, |m| = |t - 2a|, and |m| >= 2t holds
+  exactly for t <= 2|a| when a <= 0 and t <= 2a/3 when a > 0.  On that
+  range t*m^2 = t(t - 2a)^2 rises with t, so if it is below 4 min |N| at
+  the range's last t, this side has no solution in the part and is never
+  walked: the sign rule, applied to the whole part.
+
+Both branches test, before any isqrt, whether t has a multiple among the
+|N| of the part and whether the bound on e leaves any e, and most t fail
+the first test on spans whose K is large.  Since |uv| >= t^2 >= 1, no hit
+lands at N = 0.  A solution is found once from each of its coordinates of
+least |.|, so one with tied least coordinates is found twice or three
+times; _closure's set keeps one of each.
+
+A span is enumerated when K <= ENUMERATION_RATIO * (n_hi - n_lo + 1).  The
+enumeration costs about K cheap steps plus a few per N that a small t
+divides, against per-point division up to L <= 128 and trial division
+above that.  Enumeration time over point-path time of _row (best of 5,
+range over s = 0, -7, 31, 200 and -1000 with the largest N at K^3 + 100,
+Python 3.11 on a shared 2-core Xeon):
+
+    count of N    K = 50 * count   100 * count   200 * count   400 * count
+    171           0.15-0.17        0.21-0.23     0.30-0.34     0.41-0.45
+    34            0.21-0.30        0.29-0.32     0.39-0.43     0.55-0.64
+    11            0.45-0.48        0.44-0.54     0.65-0.68     0.71-0.76
+    3             0.74-0.81        0.80-0.90     0.85-0.88     1.27-1.44
+    1             1.17-1.50        1.32-1.46     1.55-1.68     2.12-2.48
+
+Full spans keep winning far past 100: 171 values of N read 0.65-0.68 at
+K = 1000 * 171 and 1.02-1.15 at 2000 * 171.  But short spans, such as
+those at the ends of rows, lose between 200 and 400, so the switch stays
+at ENUMERATION_RATIO = 100.  A span of one N loses at every ratio, by
+about 14 against 10 microseconds at K = 100.
+
+The largest enumerated cap is 100 * ceil(SPAN_POINTS/3) = 17 100, below
+TRIAL_LIMIT.  That is the invariant the two paths rest on: an enumerated
+span never holds a point where _tested_ks could raise, so its records are
+the ones solve() gives, and only spans that are not enumerated can raise
+IncompleteFactorizationError, at the point where solve() would.
 """
 
 from __future__ import annotations
@@ -54,8 +90,8 @@ import os
 from collections import deque
 from typing import Any, Iterator, NamedTuple
 
-from .intmath import icbrt
-from .solver import Triple, _pivot_plan, _solutions, _tested_ks
+from .intmath import icbrt, isqrt
+from .solver import Triple, _closure, _solutions, _tested_ks
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 
@@ -63,9 +99,9 @@ __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 SPAN_POINTS = 512
 # Pool tasks submitted but not yet yielded, per worker process.
 TASKS_PER_WORKER = 2
-# _row sieves a span when its largest cap is at most this many times its
-# count of points with 3 | d0; see the module docstring for the measurement.
-SIEVE_RATIO = 100
+# _row enumerates a span's solutions when its largest cap is at most this
+# many times its count of points with 3 | d0; see the module docstring.
+ENUMERATION_RATIO = 100
 
 
 class ScanRecord(NamedTuple):
@@ -112,6 +148,63 @@ def record_to_json(record: ScanRecord) -> str:
     return line + "}"
 
 
+def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> dict[int, list[tuple[int, tuple[int]]]]:
+    """{N: [(z, (x,)), ...]} for each N in n_lo .. n_hi with a solution at
+    sum s: one (z, (x,)) per solution (x, s - z - x, z) and per coordinate z
+    of least |s - z|, for any top >= icbrt(|N|) of every N.  The module
+    docstring proves the bounds."""
+    hits: dict[int, list[tuple[int, tuple[int]]]] = {}
+    s2 = 2 * s
+    # the N < 0 and the N > 0 of the span, as g = sign(N) and low <= |N| <= high
+    for g, low, high in ((-1, 1 if n_hi >= 0 else -n_hi, -n_lo), (1, 1 if n_lo <= 0 else n_lo, n_hi)):
+        if low > high:
+            continue
+        # uv > 0 only at w = -g*t with t <= last, the t where |m| >= 2t, and
+        # none at all if t*m^2, which rises up to last, is below 4*low there
+        a = -g * s
+        last = 2 * a // 3 if a > 0 else -2 * a
+        if last > top:
+            last = top
+        if last * (last - 2 * a) ** 2 < 4 * low:
+            last = 0
+        below = low - 1
+        for t in range(1, top + 1):
+            q_hi = high // t
+            if q_hi == below // t:
+                # no multiple of t among the |N| of the part
+                continue
+            q_lo = below // t + 1
+            # uv = -q < 0 at w = g*t: e >= |m| + 2t
+            w = g * t
+            m = s2 - w
+            am = m if m >= 0 else -m
+            if t * (am + t) > q_hi:
+                # t^2(t + |m|) > high, and so for every later t
+                if t > last:
+                    break
+            else:
+                mm = m * m
+                e = am + 2 * t if t * (am + t) >= q_lo else isqrt(mm + 4 * q_lo - 1) + 1
+                for e in range(e + ((e - m) & 1), isqrt(mm + 4 * q_hi) + 1, 2):
+                    u = (m + e) // 2
+                    hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
+            if t <= last:
+                # uv = q > 0 at w = -g*t: e <= |m| - 2t
+                w = -w
+                m = s2 - w
+                am = m if m >= 0 else -m
+                mm = m * m
+                least = t * (am - t)
+                if least <= q_hi and 4 * q_lo <= mm:
+                    r = mm - 4 * q_hi
+                    e = isqrt(r - 1) + 1 if r > 0 else 0
+                    top_e = am - 2 * t if least >= q_lo else isqrt(mm - 4 * q_lo)
+                    for e in range(e + ((e - m) & 1), top_e + 1, 2):
+                        u = (m + e) // 2
+                        hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
+    return hits
+
+
 def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[ScanRecord]:
     """The records of the points (s, c_lo) .. (s, c_hi), in c order."""
     s3 = s**3
@@ -119,18 +212,8 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
     # the points with 3 | d0 have N = d0/3 = n_lo .. n_hi, ascending
     n_lo = -((s3 - c_lo) // 3)
     n_hi = (c_hi - s3) // 3
-    # the largest cap, at least 1 so that every n's bucket holds k = 1
     top = icbrt(max(-n_lo, n_hi, 1))
-    sieved = top <= SIEVE_RATIO * (n_hi - n_lo + 1)
-    if sieved:
-        # buckets[n] holds each k <= top whose next multiple from n_lo on is n
-        buckets: dict[int, list[int]] = {}
-        for k in range(1, top + 1):
-            buckets.setdefault(-(-n_lo // k) * k, []).append(k)
-        # cap = icbrt(|n|) with low = cap^3 <= |n| < high = (cap + 1)^3
-        cap = icbrt(abs(n_lo))
-        low = cap**3
-        high = (cap + 1) ** 3
+    hits = _span_solutions(s, n_lo, n_hi, top) if top <= ENUMERATION_RATIO * (n_hi - n_lo + 1) else None
     # finite records are built with tuple.__new__, which skips ScanRecord's
     # Python-level __new__, and write the last field out as
     # completeness_bound: both are per-point costs
@@ -141,29 +224,17 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
             yield tuple.__new__(ScanRecord, (s, c, "finite", 0, empty, abs_s + (abs(d0) // 3 or 1)))
             continue
         n = d0 // 3
-        size = abs(n)
-        if sieved:
-            ks = buckets.pop(n)
-            for k in ks:
-                buckets.setdefault(n + k, []).append(k)
-            if size < low:
-                cap -= 1
-                high = low
-                low = cap**3
-            elif size >= high:
-                cap += 1
-                low = high
-                high = (cap + 1) ** 3
         if n == 0:
             yield ScanRecord(s, c, "infinite_family")
             continue
-        if sieved:
-            plan = _pivot_plan(s, n, cap, ks if cap == top else [k for k in ks if k <= cap])
+        if hits is None:
+            triples = _solutions(s, n, _tested_ks(s, d0)[3])
+        elif n in hits:
+            triples = _closure(s, hits[n])
         else:
-            plan = _tested_ks(s, d0)
-        triples = _solutions(s, n, plan[3])
+            triples = ()
         yield tuple.__new__(
-            ScanRecord, (s, c, "finite", len(triples), triples if include_solutions else None, abs_s + size)
+            ScanRecord, (s, c, "finite", len(triples), triples if include_solutions else None, abs_s + abs(n))
         )
 
 

@@ -291,8 +291,8 @@ def solve(system: TripleSystem) -> SolutionSet:
     Otherwise solve reads the pivot plan _tested_ks makes, as derive_trace
     does: None, and the empty set, unless 3 | d0.  _solutions then runs the
     quadratic at every pivot of the plan and closes the roots under the 6
-    coordinate permutations, as it does for scan's sieved spans; the result
-    is duplicate-free and sorted lexicographically.  The plan's pivots lie
+    coordinate permutations; the result is duplicate-free and sorted
+    lexicographically.  The plan's pivots lie
     inside the cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign
     only when the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if
     d0 < 0 else -s, and the module docstring proves that they find every

@@ -172,9 +172,9 @@ def test_parallel_scan_submits_a_bounded_number_of_tasks(monkeypatch):
 
 
 def _record_plans(monkeypatch) -> list[tuple[int, int, int, list[int]]]:
-    """Wrap solver._pivot_plan, and the name scan imports it under, so that
-    both scan paths are seen; the returned list collects (s, reduced, cap,
-    sorted pivots) of each call."""
+    """Wrap solver._pivot_plan, which only the point path calls, through
+    _tested_ks; the returned list collects (s, reduced, cap, sorted pivots)
+    of each call."""
     plans: list[tuple[int, int, int, list[int]]] = []
     original = solver._pivot_plan
 
@@ -184,13 +184,12 @@ def _record_plans(monkeypatch) -> list[tuple[int, int, int, list[int]]]:
         return plan
 
     monkeypatch.setattr(solver, "_pivot_plan", recording)
-    monkeypatch.setattr(scan, "_pivot_plan", recording)
     return plans
 
 
 def _record_point_solves(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap scan._tested_ks, which only spans that are not sieved call; the
-    returned list collects the (s, d0) of each call."""
+    """Wrap scan._tested_ks, which only spans that are not enumerated call;
+    the returned list collects the (s, d0) of each call."""
     solved: list[tuple[int, int]] = []
     original = scan._tested_ks
 
@@ -202,28 +201,51 @@ def _record_point_solves(monkeypatch) -> list[tuple[int, int]]:
     return solved
 
 
+def _record_enumerations(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Wrap scan._span_solutions; the returned list collects the
+    (s, n_lo, n_hi, top) of each call."""
+    spans: list[tuple[int, int, int, int]] = []
+    original = scan._span_solutions
+
+    def recording(s, n_lo, n_hi, top):
+        spans.append((s, n_lo, n_hi, top))
+        return original(s, n_lo, n_hi, top)
+
+    monkeypatch.setattr(scan, "_span_solutions", recording)
+    return spans
+
+
 def test_one_worker_streams_point_by_point(monkeypatch):
-    # the first record costs one pivot plan, not a span's worth of them, on
-    # a sieved span and on one with a cap of about 2.2e5 that is not; both
+    # the first record costs the first span's work only: one enumeration of
+    # that span and no pivot plan where the span is enumerated, and one
+    # pivot plan on a span with a cap of about 2.2e5 that is not; both
     # start at a point with 3 | d0
     plans = _record_plans(monkeypatch)
     solved = _record_point_solves(monkeypatch)
-    for s, c_lo, sieved in [(7, 346, True), (0, 3 * 10**16, False)]:
+    enumerated = _record_enumerations(monkeypatch)
+    # at s = 7 the first span's c = 346 .. 857 have N = 1 .. 171, capped at 5
+    for s, c_lo, first_enumeration in [(7, 346, (7, 1, 171, 5)), (0, 3 * 10**16, None)]:
         records = scan_grid((s, s), (c_lo, c_lo + 2 * scan.SPAN_POINTS), workers=1)
         first = next(records)
         assert (first.s, first.c) == (s, c_lo)
         records.close()
-        assert [plan[:2] for plan in plans] == [(s, (c_lo - s**3) // 3)]
-        assert solved == ([] if sieved else [(s, c_lo - s**3)])
+        if first_enumeration:
+            assert enumerated == [first_enumeration]
+            assert plans == solved == []
+        else:
+            assert enumerated == []
+            assert [plan[:2] for plan in plans] == [(s, (c_lo - s**3) // 3)]
+            assert solved == [(s, c_lo - s**3)]
         plans.clear()
         solved.clear()
+        enumerated.clear()
 
 
-def _sieve_boundary_span(side: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def _switch_boundary_span(side: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """A grid of one full span at s = 0 whose ceil(SPAN_POINTS/3) values of
-    N end at K^3 + 100, so that K is its largest cap: SIEVE_RATIO times
-    that count, plus side."""
-    cap = scan.SIEVE_RATIO * -(-scan.SPAN_POINTS // 3) + side
+    N end at K^3 + 100, so that K is its largest cap: ENUMERATION_RATIO
+    times that count, plus side."""
+    cap = scan.ENUMERATION_RATIO * -(-scan.SPAN_POINTS // 3) + side
     c_hi = 3 * (cap**3 + 100)
     return (0, 0), (c_hi - scan.SPAN_POINTS + 1, c_hi)
 
@@ -239,6 +261,22 @@ def _random_grids(count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return grids
 
 
+def _solve_records(s_range, c_range) -> list[ScanRecord]:
+    """The record of each grid point, from solve() and the constructor."""
+    records = []
+    for s in range(s_range[0], s_range[1] + 1):
+        for c in range(c_range[0], c_range[1] + 1):
+            system = TripleSystem(s, c)
+            result = solve(system)
+            if result.kind == "infinite_family":
+                records.append(ScanRecord(s, c, "infinite_family"))
+            else:
+                records.append(
+                    ScanRecord(s, c, "finite", len(result.triples), result.triples, completeness_bound(system))
+                )
+    return records
+
+
 @pytest.mark.parametrize(
     "s_range,c_range,point_spans",
     [
@@ -249,50 +287,86 @@ def _random_grids(count: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         pytest.param((0, 0), (-3300, -2800), 0, id="negative-n-only"),
         # N from 934 to 1100, so |N| rises through 1000
         pytest.param((0, 0), (2800, 3300), 0, id="positive-n-only"),
-        # no point with 3 | d0, so neither divisor source is called
+        # no point with 3 | d0, so neither source of solutions is called
         pytest.param((1, 1), (2, 3), 0, id="two-points-no-n"),
         pytest.param((0, 0), (1, 1), 0, id="one-point-no-n"),
         # two rows of two full spans, with c = s^3 in the first, and a last
         # partial span of 61 points
         pytest.param((9, 10), (700, 700 + 2 * scan.SPAN_POINTS + 60), 0, id="last-partial-span"),
-        pytest.param(*_sieve_boundary_span(0), 0, id="largest-sieved-cap"),
-        pytest.param(*_sieve_boundary_span(1), 1, id="smallest-unsieved-cap"),
+        pytest.param(*_switch_boundary_span(0), 0, id="largest-sieved-cap"),
+        pytest.param(*_switch_boundary_span(1), 1, id="smallest-unsieved-cap"),
         *(pytest.param(*grid, None, id=f"random-{i}") for i, grid in enumerate(_random_grids(12))),
     ],
 )
 def test_sieved_spans_match_the_point_path(monkeypatch, s_range, c_range, point_spans):
-    # every record is the one solve() gives, and every pivot plan with its
-    # cap and pivots the one _tested_ks makes for the same point
-    records, plans = [], []
-    for s in range(s_range[0], s_range[1] + 1):
-        for c in range(c_range[0], c_range[1] + 1):
-            system = TripleSystem(s, c)
-            result = solve(system)
-            if result.kind == "infinite_family":
-                records.append(ScanRecord(s, c, "infinite_family"))
-                continue
-            plan = solver._tested_ks(s, system.d0)
-            if plan is not None:
-                plans.append((s, plan[0], plan[1], sorted(plan[3])))
-            records.append(
-                ScanRecord(s, c, "finite", len(result.triples), result.triples, completeness_bound(system))
-            )
+    # every record is the one solve() gives; enumerated spans make no pivot
+    # plan, and each plan of the point path, with its cap and pivots, is the
+    # one _tested_ks makes for the same point
+    records = _solve_records(s_range, c_range)
+    plans = {}
+    for record in records:
+        plan = solver._tested_ks(record.s, record.c - record.s**3) if record.kind == "finite" else None
+        if plan is not None:
+            plans[record.s, plan[0]] = (record.s, plan[0], plan[1], sorted(plan[3]))
     seen_plans = _record_plans(monkeypatch)
     solved = _record_point_solves(monkeypatch)
     assert list(scan_grid(s_range, c_range, include_solutions=True)) == records
-    assert seen_plans == plans
-    # only spans that are not sieved call scan._tested_ks, at every point
-    # with 3 | d0 but c = s^3
+    assert seen_plans == [plans[s, d0 // 3] for s, d0 in solved]
+    # only spans that are not enumerated call scan._tested_ks, at every
+    # point with 3 | d0 but c = s^3
     if point_spans is not None:
         assert len({(s, (s**3 + d0 - c_range[0]) // scan.SPAN_POINTS) for s, d0 in solved}) == point_spans
 
 
 def test_sieved_spans_are_spans_the_point_path_completes():
-    # a span is sieved only when its largest cap is at most SIEVE_RATIO
-    # times its count of N, at most ceil(SPAN_POINTS / 3); up to
-    # TRIAL_LIMIT the per-point path proves its divisors complete and never
-    # raises, so both paths give the same records wherever the sieve runs
-    assert scan.SIEVE_RATIO * -(-scan.SPAN_POINTS // 3) <= intmath.TRIAL_LIMIT
+    # a span is enumerated only when its largest cap is at most
+    # ENUMERATION_RATIO times its count of N, at most ceil(SPAN_POINTS / 3);
+    # up to TRIAL_LIMIT the per-point path proves its divisors complete and
+    # never raises, so both paths give the same records wherever the
+    # enumeration runs
+    assert scan.ENUMERATION_RATIO * -(-scan.SPAN_POINTS // 3) <= intmath.TRIAL_LIMIT
+
+
+def _planted_grids(rng, count, least, most, width):
+    """Seeded one-row grids of width points, each around a planted solution
+    whose (u, v, w) = (s - X, s - Y, s - Z) has least <= |w| <= most and
+    |u|, |v| within 3 of |w|, with signs at random and ties allowed, so that
+    its least coordinate sits at or near the cap icbrt(|d0/3|)."""
+    grids = []
+    while len(grids) < count:
+        t = rng.randint(least, most)
+        u, v, w = ((t + rng.randint(0, 3) * (i < 2)) * rng.choice((-1, 1)) for i in range(3))
+        if (u + v + w) % 2:
+            continue
+        s = (u + v + w) // 2
+        c = s**3 - 3 * u * v * w
+        c_lo = c - rng.randint(0, width - 1)
+        grids.append(((s, s), (c_lo, c_lo + width - 1)))
+    return grids
+
+
+def test_enumerated_spans_are_complete_where_solve_is(monkeypatch):
+    # the enumeration lists no divisors and uses no cap rule, sign rule,
+    # direct division, prime block or Miller-Rabin; it shares only the
+    # identity and the cap lemma with solve(), so equal records over many
+    # spans check both.  Planted solutions put the least coordinate at the
+    # cap, where random spans rarely do; the second set has caps past 1025,
+    # where solve() walks the prime blocks
+    rng = random.Random(10)
+    grids = _planted_grids(rng, 400, 1, 400, 96) + _planted_grids(rng, 60, 1026, 1600, 96)
+    for _ in range(6):
+        s = rng.randint(-1000, 1000)
+        c_lo = s**3 + rng.randint(-(10**9), 10**9)
+        grids.append(((s, s), (c_lo, c_lo + 191)))
+    solved = _record_point_solves(monkeypatch)
+    found = 0
+    for s_range, c_range in grids:
+        records = list(scan_grid(s_range, c_range, include_solutions=True))
+        assert records == _solve_records(s_range, c_range)
+        found += sum(1 for record in records if record.solution_count)
+    # every span was enumerated, and every planted one holds its plant
+    assert solved == []
+    assert found >= 460
 
 
 # d0/3 = 8 * 1000003 * 1000033 * 1000037 at (0, C): its cap passes the trial
