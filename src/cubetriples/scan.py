@@ -19,9 +19,8 @@ by the same lines.  Only where the solutions come from depends on the span.
 Where the largest cap K = icbrt(max |N|) is small next to the count of N,
 _span_solutions lists the solutions of the whole span at once, and each N
 with any gets its record from _closure; every other N has none.  Elsewhere
-each point takes solve()'s plan, _tested_ks(s, d0), which divides or
-factors N, and _solutions.  A span with no point where 3 | d0 calls
-neither.
+each point calls solve(), which divides or factors N.  A span with no point
+where 3 | d0 calls neither.
 
 The enumeration turns the identity of the solver's module docstring
 around.  For a solution (X, Y, Z) write u = s - X, v = s - Y, w = s - Z.
@@ -79,9 +78,9 @@ about 14 against 10 microseconds at K = 100.
 
 The largest enumerated cap is 100 * ceil(SPAN_POINTS/3) = 17 100, below
 TRIAL_LIMIT.  That is the invariant the two paths rest on: an enumerated
-span never holds a point where _tested_ks could raise, so its records are
+span never holds a point where solve() could raise, so its records are
 the ones solve() gives, and only spans that are not enumerated can raise
-IncompleteFactorizationError, at the point where solve() would.
+IncompleteFactorizationError, at the point where they call solve().
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ from collections import deque
 from typing import Any, Iterator, NamedTuple
 
 from .intmath import icbrt, isqrt
-from .solver import Triple, _closure, _solutions, _tested_ks
+from .solver import Triple, TripleSystem, _closure, solve
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 
@@ -228,7 +227,7 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
             yield ScanRecord(s, c, "infinite_family")
             continue
         if hits is None:
-            triples = _solutions(s, n, _tested_ks(s, d0)[3])
+            triples = solve(TripleSystem(s, c)).triples
         elif n in hits:
             triples = _closure(s, hits[n])
         else:

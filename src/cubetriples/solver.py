@@ -180,28 +180,24 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
 
 
 def _tested_ks(s: int, d0: int) -> tuple[int, int, bool, list[int]] | None:
-    """The pivot plan of the system with sum s and d0 = c - s^3 != 0, which
-    solve() and derive_trace test: None when no pivot is admissible, which
-    is when 3 does not divide d0, else _pivot_plan's plan for the divisors
-    d <= L = icbrt(|d0/3|) of d0/3 that _divisors_up_to lists."""
+    """The pivot plan of the system with sum s and d0 = c - s^3 != 0: the
+    one place that decides which pivots are tested, for solve() and
+    derive_trace alike.  None when no pivot is admissible, which is when 3
+    does not divide d0; else (reduced, L, one_sign, ks) for reduced = d0/3
+    and the cap L = icbrt(|reduced|).
+
+    one_sign is whether the sign rule L(L - 2a)^2 < 4|reduced| applies,
+    with a = s if reduced < 0 else -s, and ks are the pivots k = s - z in
+    no particular order: each divisor d <= L of reduced that
+    _divisors_up_to lists as k = d and k = -d, or only with the sign of
+    reduced under the sign rule.  The module docstring proves the cap and
+    the sign rule.
+    """
     if d0 % 3 != 0:
         return None
     reduced = d0 // 3
     cap = icbrt(abs(reduced))
-    return _pivot_plan(s, reduced, cap, _divisors_up_to(reduced, cap))
-
-
-def _pivot_plan(s: int, reduced: int, cap: int, divisors: list[int]) -> tuple[int, int, bool, list[int]]:
-    """(reduced, L, one_sign, ks): the one place that decides which pivots
-    are tested, for reduced = d0/3 != 0, the cap L = icbrt(|reduced|) and
-    divisors, every positive divisor d <= L of reduced in any order.
-
-    one_sign is whether the sign rule L(L - 2a)^2 < 4|reduced| applies,
-    with a = s if reduced < 0 else -s, and ks are the pivots k = s - z in
-    no particular order: each divisor as k = d and k = -d, or only with the
-    sign of reduced under the sign rule.  The module docstring proves the
-    cap and the sign rule.  The result may be divisors itself.
-    """
+    divisors = _divisors_up_to(reduced, cap)
     # L - 2a is L + 2s when reduced > 0 and L - 2s when reduced < 0
     if reduced > 0:
         if cap * (cap + 2 * s) ** 2 < 4 * reduced:
@@ -271,28 +267,17 @@ def completeness_bound(system: TripleSystem) -> int:
     return abs(system.s) + max(1, abs(d0) // 3)
 
 
-def _solutions(s: int, reduced: int, ks: list[int]) -> tuple[Triple, ...]:
-    """The sorted solution triples the pivots ks of a plan for sum s and
-    d0/3 = reduced find, closed under permutations."""
-    hits = [
-        (k, discriminant)
-        for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
-        if discriminant >= 0 and (root := math.isqrt(discriminant)) * root == discriminant
-    ]
-    if not hits:
-        return ()
-    return _closure(s, [(s - k, _roots(k, discriminant)) for k, discriminant in hits])
-
-
 def solve(system: TripleSystem) -> SolutionSet:
-    """The complete solution set of the system.
+    """The complete solution set of the system: the one per-point path,
+    which scan's point spans call too.
 
     Degenerate systems (c = s^3) return the symbolic infinite family.
-    Otherwise solve reads the pivot plan _tested_ks makes, as derive_trace
-    does: None, and the empty set, unless 3 | d0.  _solutions then runs the
-    quadratic at every pivot of the plan and closes the roots under the 6
-    coordinate permutations; the result is duplicate-free and sorted
-    lexicographically.  The plan's pivots lie
+    Otherwise solve makes the calls derive_trace makes, in the same order:
+    _tested_ks for the pivot plan, which is None, and the set empty, unless
+    3 | d0; _discriminants for the quadratic at every pivot of the plan;
+    _roots at the pivots whose discriminant is a square; and _closure, which
+    closes the roots under the 6 coordinate permutations, so the result is
+    duplicate-free and sorted lexicographically.  The plan's pivots lie
     inside the cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign
     only when the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if
     d0 < 0 else -s, and the module docstring proves that they find every
@@ -307,4 +292,14 @@ def solve(system: TripleSystem) -> SolutionSet:
     if d0 == 0:
         return SolutionSet.infinite_family(s)
     plan = _tested_ks(s, d0)
-    return SolutionSet.finite(() if plan is None else _solutions(s, plan[0], plan[3]))
+    if plan is None:
+        return SolutionSet.finite(())
+    reduced, _, _, ks = plan
+    hits = [
+        (k, discriminant)
+        for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
+        if discriminant >= 0 and (root := math.isqrt(discriminant)) * root == discriminant
+    ]
+    if not hits:
+        return SolutionSet.finite(())
+    return SolutionSet.finite(_closure(s, [(s - k, _roots(k, discriminant)) for k, discriminant in hits]))

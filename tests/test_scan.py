@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubetriples import intmath, scan, solver
+from cubetriples import intmath, scan
 from cubetriples.oracle import brute_force
 from cubetriples.scan import ScanRecord, record_to_json, scan_grid
 from cubetriples.solver import Triple, TripleSystem, completeness_bound, solve, verify
@@ -85,8 +85,15 @@ def test_worker_count_independence():
 def test_records_are_the_constructors_records(workers, include_solutions):
     # scan builds its finite records without ScanRecord's constructor and
     # writes completeness_bound out inline; the first grid has d0 of both
-    # signs, |d0| <= 3 and c = s^3 on every row, the second a 4 501-digit d0
-    grids = [((-3, 3), (-30, 30)), ((10**1500 + 7, 10**1500 + 7), (0, 0))]
+    # signs, |d0| <= 3 and c = s^3 on every row, and is enumerated, the
+    # second a 4 501-digit d0 with 3 not dividing it, and the third two
+    # point-path spans with K = 16 750, a solution at (0, 14100002311728)
+    # and one at (1, 14100002311771)
+    grids = [
+        ((-3, 3), (-30, 30)),
+        ((10**1500 + 7, 10**1500 + 7), (0, 0)),
+        ((0, 1), (14100002311708, 14100002311784)),
+    ]
     kinds = set()
     for s_range, c_range in grids:
         for record in scan_grid(s_range, c_range, workers=workers, include_solutions=include_solutions):
@@ -171,33 +178,17 @@ def test_parallel_scan_submits_a_bounded_number_of_tasks(monkeypatch):
     assert submitted == [(s, 0, 3, False) for s in range(len(submitted))]
 
 
-def _record_plans(monkeypatch) -> list[tuple[int, int, int, list[int]]]:
-    """Wrap solver._pivot_plan, which only the point path calls, through
-    _tested_ks; the returned list collects (s, reduced, cap, sorted pivots)
-    of each call."""
-    plans: list[tuple[int, int, int, list[int]]] = []
-    original = solver._pivot_plan
-
-    def recording(s, reduced, cap, divisors):
-        plan = original(s, reduced, cap, divisors)
-        plans.append((s, reduced, cap, sorted(plan[3])))
-        return plan
-
-    monkeypatch.setattr(solver, "_pivot_plan", recording)
-    return plans
-
-
 def _record_point_solves(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap scan._tested_ks, which only spans that are not enumerated call;
-    the returned list collects the (s, d0) of each call."""
+    """Wrap scan.solve, which only spans that are not enumerated call; the
+    returned list collects the (s, d0) of each call."""
     solved: list[tuple[int, int]] = []
-    original = scan._tested_ks
+    original = scan.solve
 
-    def counting(s, d0):
-        solved.append((s, d0))
-        return original(s, d0)
+    def counting(system):
+        solved.append((system.s, system.d0))
+        return original(system)
 
-    monkeypatch.setattr(scan, "_tested_ks", counting)
+    monkeypatch.setattr(scan, "solve", counting)
     return solved
 
 
@@ -217,10 +208,9 @@ def _record_enumerations(monkeypatch) -> list[tuple[int, int, int, int]]:
 
 def test_one_worker_streams_point_by_point(monkeypatch):
     # the first record costs the first span's work only: one enumeration of
-    # that span and no pivot plan where the span is enumerated, and one
-    # pivot plan on a span with a cap of about 2.2e5 that is not; both
+    # that span and no solve() call where the span is enumerated, and one
+    # solve() call on a span with a cap of about 2.2e5 that is not; both
     # start at a point with 3 | d0
-    plans = _record_plans(monkeypatch)
     solved = _record_point_solves(monkeypatch)
     enumerated = _record_enumerations(monkeypatch)
     # at s = 7 the first span's c = 346 .. 857 have N = 1 .. 171, capped at 5
@@ -231,12 +221,10 @@ def test_one_worker_streams_point_by_point(monkeypatch):
         records.close()
         if first_enumeration:
             assert enumerated == [first_enumeration]
-            assert plans == solved == []
+            assert solved == []
         else:
             assert enumerated == []
-            assert [plan[:2] for plan in plans] == [(s, (c_lo - s**3) // 3)]
             assert solved == [(s, c_lo - s**3)]
-        plans.clear()
         solved.clear()
         enumerated.clear()
 
@@ -293,32 +281,25 @@ def _solve_records(s_range, c_range) -> list[ScanRecord]:
         # two rows of two full spans, with c = s^3 in the first, and a last
         # partial span of 61 points
         pytest.param((9, 10), (700, 700 + 2 * scan.SPAN_POINTS + 60), 0, id="last-partial-span"),
-        pytest.param(*_switch_boundary_span(0), 0, id="largest-sieved-cap"),
-        pytest.param(*_switch_boundary_span(1), 1, id="smallest-unsieved-cap"),
+        pytest.param(*_switch_boundary_span(0), 0, id="largest-enumerated-cap"),
+        pytest.param(*_switch_boundary_span(1), 1, id="smallest-point-path-cap"),
+        # the CI switch rows' last spans, both on the point path, with
+        # solutions at (0, 14100002311728) and (1, 14100002311771)
+        pytest.param((0, 1), (14100002311708, 14100002311784), 2, id="point-path-solutions"),
         *(pytest.param(*grid, None, id=f"random-{i}") for i, grid in enumerate(_random_grids(12))),
     ],
 )
 def test_sieved_spans_match_the_point_path(monkeypatch, s_range, c_range, point_spans):
-    # every record is the one solve() gives; enumerated spans make no pivot
-    # plan, and each plan of the point path, with its cap and pivots, is the
-    # one _tested_ks makes for the same point
+    # every record is the one solve() gives, and only spans that are not
+    # enumerated call scan.solve, at every point with 3 | d0 but c = s^3
     records = _solve_records(s_range, c_range)
-    plans = {}
-    for record in records:
-        plan = solver._tested_ks(record.s, record.c - record.s**3) if record.kind == "finite" else None
-        if plan is not None:
-            plans[record.s, plan[0]] = (record.s, plan[0], plan[1], sorted(plan[3]))
-    seen_plans = _record_plans(monkeypatch)
     solved = _record_point_solves(monkeypatch)
     assert list(scan_grid(s_range, c_range, include_solutions=True)) == records
-    assert seen_plans == [plans[s, d0 // 3] for s, d0 in solved]
-    # only spans that are not enumerated call scan._tested_ks, at every
-    # point with 3 | d0 but c = s^3
     if point_spans is not None:
         assert len({(s, (s**3 + d0 - c_range[0]) // scan.SPAN_POINTS) for s, d0 in solved}) == point_spans
 
 
-def test_sieved_spans_are_spans_the_point_path_completes():
+def test_enumerated_spans_are_spans_the_point_path_completes():
     # a span is enumerated only when its largest cap is at most
     # ENUMERATION_RATIO times its count of N, at most ceil(SPAN_POINTS / 3);
     # up to TRIAL_LIMIT the per-point path proves its divisors complete and
