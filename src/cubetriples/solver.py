@@ -34,10 +34,23 @@ largest value is f(L), or 32a^3/27 when 3L > 2a.  That second value needs no
 test: 3L > 2a and L^3 <= |N| give 32a^3/27 < 4L^3 <= 4|N|.  So the rule is
 the one comparison L(L - 2a)^2 < 4|N|, and then only the divisors with the
 sign of N are tested.
+
+The residue rule then drops each listed pivot whose class mod 18 makes
+D(k) a non-square mod 9 or mod 8.  k divides N, so N/k is an integer.
+Mod 9: when 3 does not divide k, k is invertible mod 9 and N/k = N*k^-1
+(mod 9), so D(k) = (k - 2s)^2 + 4N*k^-1 (mod 9) depends only on k mod 9,
+s mod 9 and N mod 9, and a value outside the squares {0, 1, 4, 7} mod 9
+leaves the pivot rootless.  Mod 8: when k and N are both odd, N/k is odd,
+(k - 2s)^2 = 1 and 4N/k = 4 (mod 8), so D(k) = 5 (mod 8), which is not a
+square.  k mod 18 decides both cases, so the rule is one 18-entry table per
+(s mod 9, N mod 18).  When N is odd every divisor is odd and the table
+drops every pivot, in line with x^3 = x (mod 2): a solvable system has d0
+even.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Any, Iterable, NamedTuple
@@ -111,11 +124,11 @@ class SolutionSet(NamedTuple):
 
     @classmethod
     def finite(cls, triples: tuple[Triple, ...]) -> "SolutionSet":
-        return cls(kind="finite", triples=triples)
+        return cls("finite", triples)
 
     @classmethod
     def infinite_family(cls, anchor: int) -> "SolutionSet":
-        return cls(kind="infinite_family", family_anchor=anchor)
+        return cls("infinite_family", None, anchor)
 
     def to_json_dict(self) -> dict[str, Any]:
         if self.kind == "finite":
@@ -163,9 +176,10 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     z is admissible iff z != s and 3(s - z) divides d0; these are the only
     values any solution coordinate can take in a non-degenerate system.  So
     the list is empty unless 3 | d0, and otherwise k runs over every signed
-    divisor of d0/3, including the pivots solve() skips: those past the cap
-    and, where L(L - 2a)^2 < 4|d0/3|, those of the sign opposite to d0/3's,
-    which that rule proves rootless (see the module docstring).
+    divisor of d0/3, including the pivots solve() skips: those past the cap;
+    where L(L - 2a)^2 < 4|d0/3|, those of the sign opposite to d0/3's, which
+    that rule proves rootless; and those whose class mod 18 makes the
+    discriminant a non-square mod 9 or mod 8 (see the module docstring).
     """
     d0 = system.d0
     if d0 == 0:
@@ -179,19 +193,35 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     return [CandidateZ(z=system.s - k, k=k, d=reduced // k) for k in reversed(signed_divisors(reduced))]
 
 
-def _tested_ks(s: int, d0: int) -> tuple[int, int, bool, list[int]] | None:
+@functools.cache
+def _residue_table(s9: int, n18: int) -> bytes:
+    """The residue rule's table for s = s9 (mod 9) and N = n18 (mod 18):
+    entry r is 0 when every pivot k = r (mod 18) dividing N has a
+    discriminant (k - 2s)^2 + 4N/k that is not a square, mod 9 because
+    3 does not divide k and (k - 2s)^2 + 4N*k^-1 is not in {0, 1, 4, 7}
+    mod 9, or mod 8 because k and N are both odd; else 1.  The module
+    docstring proves the rule."""
+    return bytes(
+        not (r % 3 and ((r - 2 * s9) ** 2 + 4 * n18 * pow(r, -1, 9)) % 9 not in (0, 1, 4, 7) or r & n18 & 1)
+        for r in range(18)
+    )
+
+
+def _tested_ks(s: int, d0: int) -> tuple[int, int, tuple[int, ...], list[int], list[int]] | None:
     """The pivot plan of the system with sum s and d0 = c - s^3 != 0: the
     one place that decides which pivots are tested, for solve() and
     derive_trace alike.  None when no pivot is admissible, which is when 3
-    does not divide d0; else (reduced, L, one_sign, ks) for reduced = d0/3
-    and the cap L = icbrt(|reduced|).
+    does not divide d0; else (reduced, L, signs, divisors, ks) for
+    reduced = d0/3 and the cap L = icbrt(|reduced|).
 
-    one_sign is whether the sign rule L(L - 2a)^2 < 4|reduced| applies,
-    with a = s if reduced < 0 else -s, and ks are the pivots k = s - z in
-    no particular order: each divisor d <= L of reduced that
-    _divisors_up_to lists as k = d and k = -d, or only with the sign of
-    reduced under the sign rule.  The module docstring proves the cap and
-    the sign rule.
+    divisors are the divisors d <= L of reduced that _divisors_up_to
+    lists, and the listed pivots k = s - z are sign * d for each sign in
+    signs: (1, -1), or only the sign of reduced when the sign rule
+    L(L - 2a)^2 < 4|reduced| applies, with a = s if reduced < 0 else -s.
+    ks are the listed pivots the residue rule keeps, in no particular
+    order; it drops those whose class mod 18 makes the discriminant a
+    non-square mod 9 or mod 8.  The module docstring proves the cap, the
+    sign rule and the residue rule.
     """
     if d0 % 3 != 0:
         return None
@@ -200,11 +230,14 @@ def _tested_ks(s: int, d0: int) -> tuple[int, int, bool, list[int]] | None:
     divisors = _divisors_up_to(reduced, cap)
     # L - 2a is L + 2s when reduced > 0 and L - 2s when reduced < 0
     if reduced > 0:
-        if cap * (cap + 2 * s) ** 2 < 4 * reduced:
-            return reduced, cap, True, divisors
-    elif cap * (cap - 2 * s) ** 2 < -4 * reduced:
-        return reduced, cap, True, [-d for d in divisors]
-    return reduced, cap, False, divisors + [-d for d in divisors]
+        signs = (1,) if cap * (cap + 2 * s) ** 2 < 4 * reduced else (1, -1)
+    else:
+        signs = (-1,) if cap * (cap - 2 * s) ** 2 < -4 * reduced else (1, -1)
+    ok = _residue_table(s % 9, reduced % 18)
+    ks = [d for d in divisors if ok[d % 18]] if 1 in signs else []
+    if -1 in signs:
+        ks += [-d for d in divisors if ok[-d % 18]]
+    return reduced, cap, signs, divisors, ks
 
 
 def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:
@@ -280,8 +313,9 @@ def solve(system: TripleSystem) -> SolutionSet:
     duplicate-free and sorted lexicographically.  The plan's pivots lie
     inside the cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign
     only when the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if
-    d0 < 0 else -s, and the module docstring proves that they find every
-    solution.
+    d0 < 0 else -s, and in the classes mod 18 where the residue rule leaves
+    the discriminant possibly square, so never when d0/3 is odd.  The
+    module docstring proves that they find every solution.
     For L up to 128 the divisors are found by dividing d0/3 by every
     k <= L.  Above that, trial division of d0/3 up to min(L, 10^6) proves
     the divisor list complete.  It stops early, past 1021, at a cofactor
@@ -294,7 +328,7 @@ def solve(system: TripleSystem) -> SolutionSet:
     plan = _tested_ks(s, d0)
     if plan is None:
         return SolutionSet.finite(())
-    reduced, _, _, ks = plan
+    reduced, _, _, _, ks = plan
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))

@@ -85,7 +85,10 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     Otherwise the trace renders solve()'s pivot plan, _tested_ks: the
     divisibility step states whether 3 | d0, and when it does, the cap step
     and, where the sign rule applies, the sign step state with this
-    system's numbers the proof in the solver's module docstring.  The rest
+    system's numbers the proof in the solver's module docstring, and where
+    the residue rule drops a listed pivot, the residue step names the
+    dropped pivots and the modulus, 8 when d0/3 is odd and 9 otherwise,
+    that makes their discriminants non-squares.  The rest
     makes solve()'s other solver calls in solve()'s order: the candidates
     step lists the plan's pivots with z ascending; _discriminants and _roots
     test them, one step per pivot; and _closure closes the roots under the
@@ -164,7 +167,8 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         ks = []
         candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
     else:
-        reduced, cap, one_sign, ks = plan
+        reduced, cap, signs, divisors, ks = plan
+        one_sign = len(signs) == 1
         add(
             "divisibility",
             f"{z_minus_s_coefficient} | {abs(reduced)}",
@@ -210,6 +214,26 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
                 f"discriminant (k - 2s)^2 + 4({reduced})/k {bound}.  So no "
                 f"pivot with Z {rootless} {s} has a root.",
             )
+        # the listed pivots the residue rule dropped
+        dropped = sorted(s - k for k in {sign * d for sign in signs for d in divisors}.difference(ks))
+        if dropped:
+            if reduced % 2:
+                rule = "= 5 (mod 8)"
+                why = (
+                    f"{reduced} is odd, so every divisor k = {s_minus_z} of it and "
+                    f"{reduced}/k are odd, and (k - 2s)^2 = 1 and 4({reduced})/k = 4 "
+                    "(mod 8).  5 is not a square mod 8, so no pivot has a root."
+                )
+            else:
+                rule = "mod 9 not in {0, 1, 4, 7}"
+                why = (
+                    f"Where 3 does not divide the divisor k = {s_minus_z} of {reduced}, "
+                    f"{reduced}/k = {reduced}*k^-1 (mod 9), so the discriminant mod 9 "
+                    "depends on k mod 9 alone.  At these pivots it is not a square "
+                    "mod 9, so none of them has a root."
+                )
+            dropped_list = ", ".join(map(str, dropped))
+            add("residue", f"(k - 2s)^2 + 4({reduced})/k {rule}, so Z not in {{{dropped_list}}}", why)
         sign_clause = f", with the sign of {reduced}" if one_sign else ""
         candidates_note = (
             f"Each tested pivot has {s_minus_z} equal to a divisor of {reduced} "

@@ -164,7 +164,7 @@ class TestTraceCommand:
         assert code == 0
         assert "8/(Z - 3)" in out
         assert "24/(Z - 3)" in out
-        assert "[candidates] Z in {1, 2, 4, 5}" in out
+        assert "[candidates] Z in {1, 4}" in out
 
     def test_default_format_is_plain(self, capsys):
         _, default_out, _ = run_cli(capsys, "trace", "--sum", "3", "--cubes", "3")

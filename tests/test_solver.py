@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,23 +173,49 @@ def _assert_opposite_sign_pivots_rootless(system: TripleSystem) -> None:
         assert discriminant < 0, (system, k)
 
 
+def _listed_pivots(system: TripleSystem) -> list[int]:
+    """The pivots k the sign rule leaves, from _divisors_inside_cap: each
+    divisor d as k = d and k = -d, or only with the sign of N = d0/3 where
+    _sign_rule_applies."""
+    divisors = _divisors_inside_cap(system)
+    if _sign_rule_applies(system):
+        return [d if system.d0 > 0 else -d for d in divisors]
+    return divisors + [-d for d in divisors]
+
+
+def _residue_keeps(s: int, n: int, k: int) -> bool:
+    """Whether the residue rule keeps the pivot k | n, decided from its
+    discriminant D = (k - 2s)^2 + 4n/k itself rather than from the solver's
+    table: the rule drops k when D = 5 (mod 8), or when 3 does not divide k
+    and D mod 9 is not in {0, 1, 4, 7}, the squares mod 9."""
+    discriminant = (k - 2 * s) ** 2 + 4 * (n // k)
+    return not (discriminant % 8 == 5 or (k % 3 and discriminant % 9 not in (0, 1, 4, 7)))
+
+
+def _residue_tested(system: TripleSystem) -> list[int]:
+    """The listed pivots the residue rule keeps: the pivots solve tests."""
+    n = system.d0 // 3
+    return [k for k in _listed_pivots(system) if _residue_keeps(system.s, n, k)]
+
+
 def _assert_plan_follows_the_rule(system: TripleSystem) -> bool:
     """Check solver._tested_ks on a non-degenerate system with 3 | d0: it
     applies the sign rule exactly where _sign_rule_applies does, and where
     it does, t(t - 2a)^2 < 4|N| for every integer 1 <= t <= L, not only for
-    divisors, every skipped divisor has a negative discriminant, and the
-    plan keeps every divisor with the sign of N.  Returns whether the rule
-    applied."""
-    _, cap, one_sign, ks = solver._tested_ks(system.s, system.d0)
+    divisors, and every skipped divisor has a negative discriminant.  It
+    lists the _listed_pivots and tests exactly those that _residue_keeps.
+    Returns whether the sign rule applied."""
+    _, cap, signs, divisors, ks = solver._tested_ks(system.s, system.d0)
+    one_sign = len(signs) == 1
     assert one_sign is _sign_rule_applies(system), system
-    divisors = _divisors_inside_cap(system)
+    listed = [sign * d for sign in signs for d in divisors]
+    assert sorted(listed) == sorted(_listed_pivots(system)), system
+    assert sorted(ks) == sorted(_residue_tested(system)), system
     if not one_sign:
-        assert sorted(ks) == sorted(divisors + [-d for d in divisors]), system
         return False
     _, a, n4 = _side_cubic(system)
     assert all(t * (t - 2 * a) ** 2 < n4 for t in range(1, cap + 1)), system
     _assert_opposite_sign_pivots_rootless(system)
-    assert sorted(ks) == sorted(d if system.d0 > 0 else -d for d in divisors), system
     return True
 
 
@@ -415,14 +443,16 @@ class TestSignRule:
 
     def test_tested_pivots_on_reference_grid(self):
         # the sign rule skips one side at 12 570 of the 13 490 points with
-        # 3 | d0, and 45 218 pivots are left to test
+        # 3 | d0, and leaves 45 218 pivots; the residue rule drops 27 548 of
+        # them, and 17 670 are left to test
         plans = [
             solver._tested_ks(s, c - s**3) for s in range(-50, 51) for c in range(-200, 201) if c != s**3
         ]
         plans = [plan for plan in plans if plan is not None]
         assert len(plans) == 13490
-        assert sum(one_sign for _, _, one_sign, _ in plans) == 12570
-        assert sum(len(ks) for _, _, _, ks in plans) == 45218
+        assert sum(len(signs) == 1 for _, _, signs, _, _ in plans) == 12570
+        assert sum(len(signs) * len(divisors) for _, _, signs, divisors, _ in plans) == 45218
+        assert sum(len(ks) for _, _, _, _, ks in plans) == 17670
 
     def test_opposite_sign_pivots_rootless_on_sweep(self):
         # fired counts the points where the rule applies, and wide those of
@@ -480,7 +510,8 @@ class TestSignRule:
         fed = _count_pivots_fed(monkeypatch)
         result = solve(system)
         divisors = len(_divisors_inside_cap(system))
-        assert fed == [divisors if applies else 2 * divisors]
+        assert len(_listed_pivots(system)) == (divisors if applies else 2 * divisors)
+        assert fed == [len(_residue_tested(system))]
         assert len(result.triples) == solutions
         assert result == _every_pivot_fold(system)
         assert result.triples == _solutions_by_bisection(system)
@@ -491,7 +522,101 @@ class TestSignRule:
         system = TripleSystem(0, sign * 3 * primorial)
         fed = _count_pivots_fed(monkeypatch)
         solve(system)
-        assert fed == [len(_divisors_inside_cap(system))]
+        # N is even, so the mod 8 case never applies, and with 3 | N and
+        # s = 0 every k prime to 3 has D = k^2 + 4N/k = 1 (mod 3), a square
+        # mod 9: the residue rule drops no pivot
+        assert fed == [len(_residue_tested(system))] == [len(_divisors_inside_cap(system))]
+
+
+def _smooth_signed(sign: int, exponents: tuple[int, ...]) -> int:
+    return sign * math.prod(p**e for p, e in zip(SMALL_PRIMES, exponents))
+
+
+# N = d0/3 of either sign and parity, with 3 | N or not, and up to 1024
+# divisors, at s of any size
+residue_systems = st.builds(
+    lambda s, sign, exponents: TripleSystem(s, s**3 + 3 * _smooth_signed(sign, exponents)),
+    st.integers(min_value=-(10**15), max_value=10**15),
+    st.sampled_from((1, -1)),
+    st.tuples(*2 * [st.integers(0, 3)], *6 * [st.integers(0, 1)]),
+)
+
+# (s - u, s - v, s - w) solves the system with s = (u + v + w)/2 and
+# N = -uvw, so the pivots k = u, v and w have square discriminants
+planted_residue_systems = (
+    st.tuples(*3 * [st.builds(_smooth_signed, st.sampled_from((1, -1)), st.tuples(*6 * [st.integers(0, 1)]))])
+    .filter(lambda uvw: sum(uvw) % 2 == 0)
+    .map(lambda uvw: TripleSystem(sum(uvw) // 2, (sum(uvw) // 2) ** 3 - 3 * math.prod(uvw)))
+)
+
+
+class TestResidueRule:
+    """The residue rule of _tested_ks: its table against the discriminant
+    itself, class by class, and against every square discriminant."""
+
+    def test_every_table_against_its_discriminants(self):
+        # for each s mod 9, N mod 18 and k mod 18 that some k | N reaches,
+        # D = (k - 2s)^2 + 4N/k at representatives k = r (18 for r = 0) and
+        # r - 18, s = s9 and s9 - 9, and N/k = 1..18: the rule's condition,
+        # D = 5 (mod 8) or 3 not dividing k and D mod 9 not in {0, 1, 4, 7},
+        # is the same at every representative, and the table drops exactly
+        # where it holds
+        reached = 0
+        for s9 in range(9):
+            for n18 in range(18):
+                table = solver._residue_table(s9, n18)
+                assert len(table) == 18
+                for r in range(18):
+                    drops = {
+                        ((k - 2 * s) ** 2 + 4 * m) % 8 == 5
+                        or (k % 3 != 0 and ((k - 2 * s) ** 2 + 4 * m) % 9 not in (0, 1, 4, 7))
+                        for k in (r or 18, r - 18)
+                        for s in (s9, s9 - 9)
+                        for m in range(1, 19)
+                        if k * m % 18 == n18
+                    }
+                    if drops:
+                        reached += 1
+                        assert drops == {not table[r]}, (s9, n18, r)
+        # some k | N has k = r and N = n18 (mod 18) iff gcd(r, 18) divides n18
+        assert reached == 9 * sum(18 // math.gcd(r, 18) for r in range(18)) == 1647
+
+    @settings(deadline=None)
+    @given(st.one_of(residue_systems, planted_residue_systems))
+    @example(TripleSystem(3, 3))
+    @example(TripleSystem(-5, -5 ** 3 + 3 * 2 * 3**3 * 5 * 7))
+    def test_never_drops_a_square(self, system):
+        # the table at every signed divisor of N, not only those inside the
+        # cap, and the plan at the listed pivots it drops
+        n = system.d0 // 3
+        table = solver._residue_table(system.s % 9, n % 18)
+        for k in signed_divisors(n):
+            discriminant = (k - 2 * system.s) ** 2 + 4 * (n // k)
+            if discriminant >= 0 and math.isqrt(discriminant) ** 2 == discriminant:
+                assert table[k % 18], (system, k)
+        _, _, signs, divisors, ks = solver._tested_ks(system.s, system.d0)
+        dropped = sorted({sign * d for sign in signs for d in divisors} - set(ks))
+        for k, discriminant in zip(dropped, _discriminants(system.s, n, dropped)):
+            assert discriminant < 0 or math.isqrt(discriminant) ** 2 != discriminant, (system, k)
+
+    def test_tables_are_built_on_first_use(self):
+        # import and systems with 3 not dividing d0 build no table; the
+        # reference grid builds at most one per (s mod 9, N mod 18)
+        probe = """
+from cubetriples import solver
+from cubetriples.solver import TripleSystem, solve
+sizes = [solver._residue_table.cache_info().currsize]
+solve(TripleSystem(0, 4))
+sizes.append(solver._residue_table.cache_info().currsize)
+for s in range(-50, 51):
+    for c in range(-200, 201):
+        solve(TripleSystem(s, c))
+sizes.append(solver._residue_table.cache_info().currsize)
+print(*sizes)
+"""
+        ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert ran.returncode == 0, ran.stderr
+        assert ran.stdout.split() == ["0", "0", "162"]
 
 
 class TestOneDiscriminant:

@@ -24,9 +24,10 @@ DATA = Path(__file__).parent / "data"
 # Together these cover s = 0, s < 0 and s > 0, d0 of either sign, 3 not
 # dividing d0, the degenerate case with s = 0 and s != 0, the cap step with
 # and without the sign step, the sign step with a = 0 and with a > 0 (see
-# _tested_pivots), and every per-pivot note: double root, two roots,
+# _tested_pivots), the residue step mod 9 and mod 8, with and without
+# pivots left to test, and every per-pivot note: double root, two roots,
 # negative discriminant, non-square.
-GOLDEN_SYSTEMS = [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0)]
+GOLDEN_SYSTEMS = [(3, 3), (2, 2), (0, 3), (0, 4), (-2, 10), (1, 1), (0, 0), (2, 44)]
 GOLDEN_EXTENSIONS = {"plain": "txt", "markdown": "md", "structured-records": "jsonl"}
 
 # SHA-256 of every rendering, in RENDER_FORMATS order, of the systems
@@ -36,7 +37,7 @@ SMOOTH_D0_OVER_3 = 2 * 5 * 7 * 11 * 13 * 17 * 19 * 23
 SWEEP_SYSTEMS = [TripleSystem(s, c) for s in range(-6, 7) for c in range(-150, 151)] + [
     TripleSystem(s, s**3 + sign * 3 * SMOOTH_D0_OVER_3) for s in (-3, 0, 5) for sign in (1, -1)
 ]
-SWEEP_SHA256 = "dcfb713023f9200dd71e2ee724091412507a60b7ea61e8406b06bf336112770c"
+SWEEP_SHA256 = "d208362cb8dbb9c59db60cb2770943691ab0dc3e8d9389296ed82c10455624d4"
 # d0/3 = +-SMOOTH_D0_OVER_3 again, so L = 420 and the sign rule reads
 # 420(420 - 2a)^2 < 4 * SMOOTH_D0_OVER_3: it applies at a = -200
 # (420 * 820^2 is below) and not at a = -250, and it applies at a = 630
@@ -59,14 +60,17 @@ def _cube_root_floor(n: int) -> int:
     return cap
 
 
-def _tested_pivots(system: TripleSystem) -> tuple[bool, list[int]]:
-    """Whether the sign rule applies, and the ascending pivots Z = s - k that
-    solve tests, found without the solver: every k with k | d0/3 and
-    |k|^3 <= |d0/3| by dividing d0/3 by each candidate, then only the k with
-    the sign of d0/3 when L(L - 2a)^2 < 4|d0/3|, where L = icbrt(|d0/3|) and
-    a = s if d0 < 0 else -s."""
+def _tested_pivots(system: TripleSystem) -> tuple[bool, list[int], list[int]]:
+    """Whether the sign rule applies, the ascending pivots Z = s - k that
+    solve tests, and the ascending pivots the residue rule drops, found
+    without the solver: every k with k | d0/3 and |k|^3 <= |d0/3| by
+    dividing d0/3 by each candidate, then only the k with the sign of d0/3
+    when L(L - 2a)^2 < 4|d0/3|, where L = icbrt(|d0/3|) and a = s if d0 < 0
+    else -s; of those, the residue rule drops each k whose discriminant
+    D = (k - 2s)^2 + 4(d0/3)/k is 5 mod 8, or, with 3 not dividing k, not
+    in {0, 1, 4, 7} mod 9."""
     if system.d0 % 3:
-        return False, []
+        return False, [], []
     n = system.d0 // 3
     cap = _cube_root_floor(abs(n))
     ks = [k for d in range(1, cap + 1) if n % d == 0 for k in (d, -d)]
@@ -74,7 +78,13 @@ def _tested_pivots(system: TripleSystem) -> tuple[bool, list[int]]:
     one_sign = cap * (cap - 2 * a) ** 2 < 4 * abs(n)
     if one_sign:
         ks = [k for k in ks if (k > 0) == (n > 0)]
-    return one_sign, sorted(system.s - k for k in ks)
+    tested, dropped = [], []
+    for k in ks:
+        discriminant = (k - 2 * system.s) ** 2 + 4 * (n // k)
+        rejected = discriminant % 8 == 5 or (k % 3 and discriminant % 9 not in (0, 1, 4, 7))
+        (dropped if rejected else tested).append(system.s - k)
+    return one_sign, sorted(tested), sorted(dropped)
+
 
 systems = st.builds(
     TripleSystem,
@@ -90,16 +100,26 @@ class TestDeriveTrace:
         assert "8/(Z - 3)" in text
 
     def test_known_instance_candidates_shown(self):
-        # the pivots with |Z - 3| <= 2; Z = -5 (k = 8) lies past the cap, and
-        # (4, 4, -5) comes from closing (4, -5, 4) under the permutations
+        # the pivots with |Z - 3| <= 2 whose discriminant can be a square mod
+        # 9: Z = 2 and Z = 5 (k = 1 and k = -2) give -7 and 80, which are 2
+        # and 8 mod 9.  Z = -5 (k = 8) lies past the cap, and (4, 4, -5)
+        # comes from closing (4, -5, 4) under the permutations
         text = render(derive_trace(TripleSystem(3, 3)), "plain")
-        assert " 7. [candidates] Z in {1, 2, 4, 5}\n" in text
+        assert " 7. [residue] (k - 2s)^2 + 4(-8)/k mod 9 not in {0, 1, 4, 7}, so Z not in {2, 5}\n" in text
+        assert " 8. [candidates] Z in {1, 4}\n" in text
         assert "(4, 4, -5)" in text
 
     def test_step_order(self):
         head = ["rearrange-linear", "rearrange-cubic", "divide", "substitute", "divisibility", "cap"]
-        # the sign rule does not apply to (3, 3) and does to (0, 3)
-        for system, fixed in ((TripleSystem(3, 3), head), (TripleSystem(0, 3), head + ["sign"])):
+        # the sign rule does not apply to (3, 3) and (2, 44) and does to
+        # (0, 3) and (-2, 10); the residue rule drops pivots of all but
+        # (-2, 10)
+        for system, fixed in (
+            (TripleSystem(3, 3), head + ["residue"]),
+            (TripleSystem(2, 44), head + ["residue"]),
+            (TripleSystem(0, 3), head + ["sign", "residue"]),
+            (TripleSystem(-2, 10), head + ["sign"]),
+        ):
             labels = [step.label for step in derive_trace(system)]
             assert labels[: len(fixed) + 1] == fixed + ["candidates"]
             assert all(label.startswith("candidate Z = ") for label in labels[len(fixed) + 1 : -1])
@@ -130,17 +150,26 @@ class TestDeriveTrace:
 
     def test_candidates_step_matches_solver(self):
         # the candidates step lists exactly the pivots solve tests, the sign
-        # step appears exactly when the sign rule applies, and the trace ends
-        # with solve's set
+        # step appears exactly when the sign rule applies, the residue step
+        # exactly when the residue rule drops a pivot and names those it
+        # drops, and the trace ends with solve's set
+        residue_steps = 0
         for system in SWEEP_SYSTEMS + SIGN_EDGE_SYSTEMS:
             if system.degenerate:
                 continue
             trace = derive_trace(system)
-            one_sign, pivots = _tested_pivots(system)
+            one_sign, pivots, dropped = _tested_pivots(system)
             step = next(s for s in trace if s.label == "candidates")
             assert step.equation_text == f"Z in {{{', '.join(map(str, pivots))}}}", system
             assert any(s.label == "sign" for s in trace) == one_sign, system
+            residue = [s.equation_text for s in trace if s.label == "residue"]
+            assert len(residue) == bool(dropped), system
+            if dropped:
+                residue_steps += 1
+                assert residue[0].endswith(f", so Z not in {{{', '.join(map(str, dropped))}}}"), system
+                assert ("= 5 (mod 8)" in residue[0]) == (system.d0 // 3 % 2 == 1), system
             assert trace[-1].equation_text == format_solution_set(solve(system)), system
+        assert residue_steps == 1164
         # (s, +1) has a = -s and (s, -1) has a = s
         assert [_tested_pivots(system)[0] for system in SIGN_EDGE_SYSTEMS] == [
             False, False, True, False, True, False, True, True,
