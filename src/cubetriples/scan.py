@@ -17,48 +17,15 @@ over c.  A point with 3 not dividing d0 gets the empty record, c = s^3 the
 infinite family, and every other point the record its solutions give, built
 by the same lines.  Only where the solutions come from depends on the span.
 Where the largest cap K = icbrt(max |N|) is small next to the count of N,
-_span_solutions lists the solutions of the whole span at once, and each N
-with any gets its record from _closure; every other N has none.  Elsewhere
-each point calls solve(), which divides or factors N.  A span with no point
-where 3 | d0 calls neither.
-
-The enumeration turns the identity of the solver's module docstring
-around.  For a solution (X, Y, Z) write u = s - X, v = s - Y, w = s - Z.
-Then u + v + w = 2s and uvw = -N, so N != 0 makes all three nonzero.  Take
-w a coordinate of least |.|, t = |w|: then t^3 <= |uvw| = |N|, so
-t <= icbrt(|N|) <= K.  Put m = u + v = 2s - w and e = |u - v|; then
-uv = (m^2 - e^2)/4, e = m (mod 2) and N = -w*uv, so w divides N and each
-u, v = (m +- e)/2 comes back from e.  So for each t <= K and each side
-w = +-t, uv runs over the integers q between the quotients -N/w of the N
-of the span that w divides, and e^2 = m^2 - 4q over an interval; every e
-of the right parity there is a solution.  The span is split into its N < 0
-and its N > 0, so that uv has one sign on each side of each part:
-
-- uv < 0 (w with the sign of N): u and v have opposite signs, so
-  e = |u| + |v| and |m| = ||u| - |v||.  |u|, |v| >= t then reads
-  e >= |m| + 2t, and |N| = t|u||v| >= t^2(t + |m|).  That bound rises
-  with t (|m| changes by 1 per step of t, so its derivative is at least
-  2t^2), so once t(t + |m|) passes the largest quotient |N|/t, this side
-  is done for good.
-- uv > 0 (w with the sign opposite to N's): |m| = |u| + |v| and
-  e = ||u| - |v||, so |u|, |v| >= t reads e <= |m| - 2t, which needs
-  |m| >= 2t, and uv <= m^2/4 gives t*m^2 >= 4|N|.  With a = s if N < 0
-  else -s, as in the sign rule, |m| = |t - 2a|, and |m| >= 2t holds
-  exactly for t <= 2|a| when a <= 0 and t <= 2a/3 when a > 0.  On that
-  range t*m^2 = t(t - 2a)^2 rises with t, so if it is below 4 min |N| at
-  the range's last t, this side has no solution in the part and is never
-  walked: the sign rule, applied to the whole part.
-
-Both branches test, before any isqrt, whether t has a multiple among the
-|N| of the part and whether the bound on e leaves any e, and most t fail
-the first test on spans whose K is large.  Since |uv| >= t^2 >= 1, no hit
-lands at N = 0.  A solution is found once from each of its coordinates of
-least |.|, so one with tied least coordinates is found twice or three
-times; _closure's set keeps one of each.
+the solver's _span_solutions lists the solutions of the whole span at once,
+and each N with any gets its record from _closure; every other N has none.
+Elsewhere each point calls solve(), which divides or factors N.  A span
+with no point where 3 | d0 calls neither.  The solver's module docstring
+proves both sources complete.
 
 A span is enumerated when K <= ENUMERATION_RATIO * (n_hi - n_lo + 1).  The
-enumeration costs about K cheap steps plus a few per N that a small t
-divides, against per-point division up to L <= 128 and trial division
+enumeration costs about K cheap steps plus a few per N with a small
+divisor, against per-point division up to L <= 128 and trial division
 above that.  Enumeration time over point-path time of _row (best of 5,
 range over s = 0, -7, 31, 200 and -1000 with the largest N at K^3 + 100,
 Python 3.11 on a shared 2-core Xeon):
@@ -89,8 +56,8 @@ import os
 from collections import deque
 from typing import Any, Iterator, NamedTuple
 
-from .intmath import icbrt, isqrt
-from .solver import Triple, TripleSystem, _closure, solve
+from .intmath import icbrt
+from .solver import Triple, TripleSystem, _closure, _span_solutions, solve
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 
@@ -145,63 +112,6 @@ def record_to_json(record: ScanRecord) -> str:
     if bound is not None:
         line += f',"bound_used":{bound}'
     return line + "}"
-
-
-def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> dict[int, list[tuple[int, tuple[int]]]]:
-    """{N: [(z, (x,)), ...]} for each N in n_lo .. n_hi with a solution at
-    sum s: one (z, (x,)) per solution (x, s - z - x, z) and per coordinate z
-    of least |s - z|, for any top >= icbrt(|N|) of every N.  The module
-    docstring proves the bounds."""
-    hits: dict[int, list[tuple[int, tuple[int]]]] = {}
-    s2 = 2 * s
-    # the N < 0 and the N > 0 of the span, as g = sign(N) and low <= |N| <= high
-    for g, low, high in ((-1, 1 if n_hi >= 0 else -n_hi, -n_lo), (1, 1 if n_lo <= 0 else n_lo, n_hi)):
-        if low > high:
-            continue
-        # uv > 0 only at w = -g*t with t <= last, the t where |m| >= 2t, and
-        # none at all if t*m^2, which rises up to last, is below 4*low there
-        a = -g * s
-        last = 2 * a // 3 if a > 0 else -2 * a
-        if last > top:
-            last = top
-        if last * (last - 2 * a) ** 2 < 4 * low:
-            last = 0
-        below = low - 1
-        for t in range(1, top + 1):
-            q_hi = high // t
-            if q_hi == below // t:
-                # no multiple of t among the |N| of the part
-                continue
-            q_lo = below // t + 1
-            # uv = -q < 0 at w = g*t: e >= |m| + 2t
-            w = g * t
-            m = s2 - w
-            am = m if m >= 0 else -m
-            if t * (am + t) > q_hi:
-                # t^2(t + |m|) > high, and so for every later t
-                if t > last:
-                    break
-            else:
-                mm = m * m
-                e = am + 2 * t if t * (am + t) >= q_lo else isqrt(mm + 4 * q_lo - 1) + 1
-                for e in range(e + ((e - m) & 1), isqrt(mm + 4 * q_hi) + 1, 2):
-                    u = (m + e) // 2
-                    hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
-            if t <= last:
-                # uv = q > 0 at w = -g*t: e <= |m| - 2t
-                w = -w
-                m = s2 - w
-                am = m if m >= 0 else -m
-                mm = m * m
-                least = t * (am - t)
-                if least <= q_hi and 4 * q_lo <= mm:
-                    r = mm - 4 * q_hi
-                    e = isqrt(r - 1) + 1 if r > 0 else 0
-                    top_e = am - 2 * t if least >= q_lo else isqrt(mm - 4 * q_lo)
-                    for e in range(e + ((e - m) & 1), top_e + 1, 2):
-                        u = (m + e) // 2
-                        hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
-    return hits
 
 
 def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[ScanRecord]:

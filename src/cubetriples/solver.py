@@ -9,26 +9,39 @@ to one quadratic per pivot,
 
 which has integer content only when 3k divides d0 = c - s^3.  That
 divisibility condition admits finitely many pivots whenever d0 != 0, so
-enumerating the signed divisors k of d0/3 and testing each quadratic's
-discriminant yields every solution.  The degenerate case c = s^3 (d0 = 0) makes the quadratic
-factor as (X - s)(X + Z) = 0 for every pivot, producing the infinite family
-of permutations of (s, t, -t).
+enumerating the signed divisors k of N = d0/3 and testing each quadratic's
+discriminant yields every solution.  The degenerate case c = s^3 (d0 = 0)
+makes the quadratic factor as (X - s)(X + Z) = 0 for every pivot, producing
+the infinite family of permutations of (s, t, -t).
 
-Only pivots with |k| <= icbrt(|d0/3|) need testing.  The identity
-(X + Y + Z)^3 - X^3 - Y^3 - Z^3 = 3(X + Y)(Y + Z)(Z + X) with X + Y = s - Z
-gives d0/3 = -(s - X)(s - Y)(s - Z) for every solution, three nonzero factors
-whose smallest, |s - W|, has |s - W|^3 <= |d0/3|.  So the pivot Z = W finds
-the solution, and closing under the coordinate permutations finds its every
-ordering.
+This module draws solutions from that reduction in two ways, and this
+docstring is where both are proven.  _tested_ks lists one point's divisor
+pivots for solve() and the trace; _span_solutions walks a least coordinate
+for a whole span of N at once, for scan.
 
-The sign rule halves those pivots wherever it applies.  Write N = d0/3,
-L = icbrt(|N|), and a = s if N < 0 else -s.  The pivot k (z = s - k) has
-discriminant D(k) = (k - 2s)^2 + 4N/k.  A pivot of the sign opposite to N's
-is k = -t*sign(N) with 1 <= t <= L; then (k - 2s)^2 = (t - 2a)^2 and
-4N/k = -4|N|/t, so t * D(k) = t(t - 2a)^2 - 4|N|.
+The identity and the cap.  For a solution write u = s - X, v = s - Y and
+w = s - Z, so u + v + w = 2s.  The identity (X + Y + Z)^3 - X^3 - Y^3 - Z^3
+= 3(X + Y)(Y + Z)(Z + X) with X + Y = s - Z gives
+
+    N = d0/3 = -(s - X)(s - Y)(s - Z) = -uvw,
+
+so N != 0 makes all three factors nonzero.  At the pivot k = w, with
+m = u + v = 2s - w, the discriminant of the quadratic is
+
+    D(k) = (k - 2s)^2 + 4N/k = m^2 - 4uv = (u - v)^2,
+
+and u, v = (m +- e)/2 for e = |u - v|.  A coordinate of least |.|, say w
+with t = |w|, has t^3 <= |uvw| = |N|, so t <= L = icbrt(|N|).  So only
+pivots with |k| <= L need testing, and closing under the coordinate
+permutations finds every ordering of the solution.
+
+The sign rule halves those pivots wherever it applies.  Write
+a = s if N < 0 else -s.  A pivot of the sign opposite to N's is
+k = -t*sign(N) with 1 <= t <= L; then (k - 2s)^2 = (t - 2a)^2 and
+4N/k = -4|N|/t, so t * D(k) = f(t) - 4|N| with f(t) = t(t - 2a)^2.
 That whole side is rootless, as every such pivot has D(k) < 0, whenever
-f(t) = t(t - 2a)^2 < 4|N| for all 0 < t <= L.  For a <= 0, f rises with t.
-For a > 0, f'(t) = (t - 2a)(3t - 2a), so f rises to its local maximum
+f(t) < 4|N| for all 0 < t <= L.  For a <= 0, f rises with t.  For a > 0,
+f'(t) = (t - 2a)(3t - 2a), so f rises to its local maximum
 f(2a/3) = 32a^3/27, falls to 0 at t = 2a, and rises after; over (0, L] its
 largest value is f(L), or 32a^3/27 when 3L > 2a.  That second value needs no
 test: 3L > 2a and L^3 <= |N| give 32a^3/27 < 4L^3 <= 4|N|.  So the rule is
@@ -46,16 +59,46 @@ square.  k mod 18 decides both cases, so the rule is one 18-entry table per
 (s mod 9, N mod 18).  When N is odd every divisor is odd and the table
 drops every pivot, in line with x^3 = x (mod 2): a solvable system has d0
 even.
+
+The enumeration turns the cap around and lists no divisors.  With top at
+least the cap of every N of the span, a least coordinate w of each solution
+has t = |w| <= top.  So for each t <= top and each side w = +-t, uv runs
+over the integers q = -N/w for the N of the span that w divides, and
+e^2 = m^2 - 4uv over an interval; every e of the parity of m there is a
+solution.  The span is split into its
+N < 0 and its N > 0, so that uv has one sign on each side of each part, and
+two side bounds end the walk early:
+
+- uv < 0 (w with the sign of N): u and v have opposite signs, so
+  e = |u| + |v| and |m| = ||u| - |v||.  |u|, |v| >= t then reads
+  e >= |m| + 2t, and |N| = t|u||v| >= t^2(t + |m|).  That bound rises
+  with t (|m| changes by 1 per step of t, so its derivative is at least
+  2t^2), so once t(t + |m|) passes the largest quotient |N|/t, this side
+  is done for good.
+- uv > 0 (w with the sign opposite to N's, the side of the sign rule):
+  |m| = |u| + |v| and e = ||u| - |v||, so |u|, |v| >= t reads
+  e <= |m| - 2t, which needs |m| >= 2t.  Here |m| = |t - 2a|, so that
+  holds exactly for t <= 2|a| when a <= 0 and t <= 2a/3 when a > 0, a
+  range on which f rises, as the sign rule shows.  And D = e^2 >= 0 needs
+  f(t) >= 4|N|.  So if f is below 4 min |N| at the last t of that range
+  up to top, this side has no solution in the part and is never walked:
+  the sign rule, applied to the whole part.
+
+Both branches test, before any isqrt, whether t has a multiple among the
+|N| of the part and whether the bound on e leaves any e, and most t fail
+the first test on spans whose top is large.  Since |uv| >= t^2 >= 1, no hit
+lands at N = 0.  A solution is found once from each of its coordinates of
+least |.|, so one with tied least coordinates is found twice or three
+times; _closure's set keeps one of each.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import Any, Iterable, NamedTuple
 
-from .intmath import _divisors_up_to, icbrt, signed_divisors
+from .intmath import _divisors_up_to, icbrt, isqrt, signed_divisors
 
 __all__ = [
     "CandidateZ",
@@ -176,10 +219,8 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     z is admissible iff z != s and 3(s - z) divides d0; these are the only
     values any solution coordinate can take in a non-degenerate system.  So
     the list is empty unless 3 | d0, and otherwise k runs over every signed
-    divisor of d0/3, including the pivots solve() skips: those past the cap;
-    where L(L - 2a)^2 < 4|d0/3|, those of the sign opposite to d0/3's, which
-    that rule proves rootless; and those whose class mod 18 makes the
-    discriminant a non-square mod 9 or mod 8 (see the module docstring).
+    divisor of d0/3, the pivots that solve() skips by the cap, the sign rule
+    or the residue rule included.
     """
     d0 = system.d0
     if d0 == 0:
@@ -196,11 +237,8 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
 @functools.cache
 def _residue_table(s9: int, n18: int) -> bytes:
     """The residue rule's table for s = s9 (mod 9) and N = n18 (mod 18):
-    entry r is 0 when every pivot k = r (mod 18) dividing N has a
-    discriminant (k - 2s)^2 + 4N/k that is not a square, mod 9 because
-    3 does not divide k and (k - 2s)^2 + 4N*k^-1 is not in {0, 1, 4, 7}
-    mod 9, or mod 8 because k and N are both odd; else 1.  The module
-    docstring proves the rule."""
+    entry r is 0 when the rule drops the pivots k = r (mod 18), mod 9 or
+    mod 8, else 1.  The module docstring proves the rule."""
     return bytes(
         not (r % 3 and ((r - 2 * s9) ** 2 + 4 * n18 * pow(r, -1, 9)) % 9 not in (0, 1, 4, 7) or r & n18 & 1)
         for r in range(18)
@@ -212,32 +250,81 @@ def _tested_ks(s: int, d0: int) -> tuple[int, int, tuple[int, ...], list[int], l
     one place that decides which pivots are tested, for solve() and
     derive_trace alike.  None when no pivot is admissible, which is when 3
     does not divide d0; else (reduced, L, signs, divisors, ks) for
-    reduced = d0/3 and the cap L = icbrt(|reduced|).
-
-    divisors are the divisors d <= L of reduced that _divisors_up_to
-    lists, and the listed pivots k = s - z are sign * d for each sign in
-    signs: (1, -1), or only the sign of reduced when the sign rule
-    L(L - 2a)^2 < 4|reduced| applies, with a = s if reduced < 0 else -s.
-    ks are the listed pivots the residue rule keeps, in no particular
-    order; it drops those whose class mod 18 makes the discriminant a
-    non-square mod 9 or mod 8.  The module docstring proves the cap, the
-    sign rule and the residue rule.
+    reduced = d0/3 and the cap L = icbrt(|reduced|).  divisors are the
+    divisors d <= L of reduced that _divisors_up_to lists; signs is (1, -1),
+    or only the sign of reduced where the sign rule holds; and ks, in no
+    particular order, are the pivots k = sign * d that the residue rule
+    keeps.  The module docstring proves the cap and both rules.
     """
     if d0 % 3 != 0:
         return None
     reduced = d0 // 3
     cap = icbrt(abs(reduced))
     divisors = _divisors_up_to(reduced, cap)
-    # L - 2a is L + 2s when reduced > 0 and L - 2s when reduced < 0
-    if reduced > 0:
-        signs = (1,) if cap * (cap + 2 * s) ** 2 < 4 * reduced else (1, -1)
-    else:
-        signs = (-1,) if cap * (cap - 2 * s) ** 2 < -4 * reduced else (1, -1)
+    a = s if reduced < 0 else -s
+    signs = (1 if reduced > 0 else -1,) if cap * (cap - 2 * a) ** 2 < 4 * abs(reduced) else (1, -1)
     ok = _residue_table(s % 9, reduced % 18)
     ks = [d for d in divisors if ok[d % 18]] if 1 in signs else []
     if -1 in signs:
         ks += [-d for d in divisors if ok[-d % 18]]
     return reduced, cap, signs, divisors, ks
+
+
+def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> dict[int, list[tuple[int, tuple[int]]]]:
+    """{N: [(z, (x,)), ...]} for each N in n_lo .. n_hi with a solution at
+    sum s: one (z, (x,)) per solution (x, s - z - x, z) and per coordinate z
+    of least |s - z|, for any top >= icbrt(|N|) of every N.  The module
+    docstring proves the bounds."""
+    hits: dict[int, list[tuple[int, tuple[int]]]] = {}
+    s2 = 2 * s
+    # the N < 0 and the N > 0 of the span, as g = sign(N) and low <= |N| <= high
+    for g, low, high in ((-1, 1 if n_hi >= 0 else -n_hi, -n_lo), (1, 1 if n_lo <= 0 else n_lo, n_hi)):
+        if low > high:
+            continue
+        # uv > 0 only at w = -g*t with t <= last, the t where |m| >= 2t, and
+        # none at all if t*m^2, which rises up to last, is below 4*low there
+        a = -g * s
+        last = 2 * a // 3 if a > 0 else -2 * a
+        if last > top:
+            last = top
+        if last * (last - 2 * a) ** 2 < 4 * low:
+            last = 0
+        below = low - 1
+        for t in range(1, top + 1):
+            q_hi = high // t
+            if q_hi == below // t:
+                # no multiple of t among the |N| of the part
+                continue
+            q_lo = below // t + 1
+            # uv = -q < 0 at w = g*t: e >= |m| + 2t
+            w = g * t
+            m = s2 - w
+            am = m if m >= 0 else -m
+            if t * (am + t) > q_hi:
+                # t^2(t + |m|) > high, and so for every later t
+                if t > last:
+                    break
+            else:
+                mm = m * m
+                e = am + 2 * t if t * (am + t) >= q_lo else isqrt(mm + 4 * q_lo - 1) + 1
+                for e in range(e + ((e - m) & 1), isqrt(mm + 4 * q_hi) + 1, 2):
+                    u = (m + e) // 2
+                    hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
+            if t <= last:
+                # uv = q > 0 at w = -g*t: e <= |m| - 2t
+                w = -w
+                m = s2 - w
+                am = m if m >= 0 else -m
+                mm = m * m
+                least = t * (am - t)
+                if least <= q_hi and 4 * q_lo <= mm:
+                    r = mm - 4 * q_hi
+                    e = isqrt(r - 1) + 1 if r > 0 else 0
+                    top_e = am - 2 * t if least >= q_lo else isqrt(mm - 4 * q_lo)
+                    for e in range(e + ((e - m) & 1), top_e + 1, 2):
+                        u = (m + e) // 2
+                        hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
+    return hits
 
 
 def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:
@@ -260,7 +347,7 @@ def _roots(k: int, discriminant: int) -> tuple[int, ...]:
     """The ascending integer roots of X^2 - k*X - constant = 0 from its
     discriminant k^2 + 4*constant: empty when that is negative or not a
     square."""
-    root = math.isqrt(discriminant) if discriminant >= 0 else -1
+    root = isqrt(discriminant) if discriminant >= 0 else -1
     if root * root != discriminant:
         return ()
     if root:
@@ -307,20 +394,12 @@ def solve(system: TripleSystem) -> SolutionSet:
     Degenerate systems (c = s^3) return the symbolic infinite family.
     Otherwise solve makes the calls derive_trace makes, in the same order:
     _tested_ks for the pivot plan, which is None, and the set empty, unless
-    3 | d0; _discriminants for the quadratic at every pivot of the plan;
-    _roots at the pivots whose discriminant is a square; and _closure, which
-    closes the roots under the 6 coordinate permutations, so the result is
-    duplicate-free and sorted lexicographically.  The plan's pivots lie
-    inside the cube-root cap L = icbrt(|d0/3|), on the side of d0/3's sign
-    only when the sign rule L(L - 2a)^2 < 4|d0/3| holds, with a = s if
-    d0 < 0 else -s, and in the classes mod 18 where the residue rule leaves
-    the discriminant possibly square, so never when d0/3 is odd.  The
-    module docstring proves that they find every solution.
-    For L up to 128 the divisors are found by dividing d0/3 by every
-    k <= L.  Above that, trial division of d0/3 up to min(L, 10^6) proves
-    the divisor list complete.  It stops early, past 1021, at a cofactor
-    that Miller-Rabin certifies prime, and when L passes 10^6 the cofactor
-    left there must be certified prime.
+    3 | d0; _discriminants at every pivot of the plan; _roots at those whose
+    discriminant is a square; and _closure, which closes the roots under the
+    6 coordinate permutations, so the result is duplicate-free and sorted
+    lexicographically.  The module docstring proves that the plan finds
+    every solution.  IncompleteFactorizationError comes from _divisors_up_to,
+    where the divisors up to the cap cannot be proven complete.
     """
     s, d0 = system.s, system.d0
     if d0 == 0:
@@ -332,7 +411,7 @@ def solve(system: TripleSystem) -> SolutionSet:
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))
-        if discriminant >= 0 and (root := math.isqrt(discriminant)) * root == discriminant
+        if discriminant >= 0 and (root := isqrt(discriminant)) * root == discriminant
     ]
     if not hits:
         return SolutionSet.finite(())

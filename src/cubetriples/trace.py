@@ -82,18 +82,15 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
 
     Four steps reduce the system to one quadratic in X per pivot Z.  With
     d0 = c - s^3 = 0 a factor step and the infinite family follow.
-    Otherwise the trace renders solve()'s pivot plan, _tested_ks: the
-    divisibility step states whether 3 | d0, and when it does, the cap step
-    and, where the sign rule applies, the sign step state with this
-    system's numbers the proof in the solver's module docstring, and where
-    the residue rule drops a listed pivot, the residue step names the
-    dropped pivots and the modulus, 8 when d0/3 is odd and 9 otherwise,
-    that makes their discriminants non-squares.  The rest
-    makes solve()'s other solver calls in solve()'s order: the candidates
-    step lists the plan's pivots with z ascending; _discriminants and _roots
-    test them, one step per pivot; and _closure closes the roots under the
-    permutations in the solutions step.  So the trace raises
-    IncompleteFactorizationError exactly where solve() does.
+    Otherwise the trace renders solve()'s pivot plan, _tested_ks, and makes
+    solve()'s other solver calls in solve()'s order.  The divisibility step
+    states whether 3 | d0.  When it does, the cap step, the sign step where
+    the sign rule applies and the residue step where the residue rule drops
+    a listed pivot state those results with this system's numbers; the
+    solver's module docstring proves them.  The candidates step lists the
+    tested pivots with z ascending, one step per pivot tests its quadratic,
+    and the solutions step closes the roots under the permutations.  So the
+    trace raises IncompleteFactorizationError exactly where solve() does.
     """
     s, c = system.s, system.c
     d0 = system.d0

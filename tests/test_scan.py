@@ -117,6 +117,19 @@ def test_finite_records_reverified_by_oracle():
         assert all(verify(t, system) for t in record.solutions)
 
 
+def test_reference_grid_agrees_with_the_oracle():
+    # the box search shares neither the reduction nor _closure with the
+    # solver, so this certifies the records REFERENCE_GRID_SHA256 pins: each
+    # finite one lists the oracle's solutions at its completeness bound
+    checked = 0
+    for record in scan_grid((-50, 50), (-200, 200), include_solutions=True):
+        if record.kind == "finite":
+            system = TripleSystem(record.s, record.c)
+            assert list(record.solutions) == brute_force(system, record.bound_used), record
+            checked += 1
+    assert checked == 40490
+
+
 def test_empty_ranges_rejected():
     with pytest.raises(ValueError):
         list(scan_grid((2, 1), (0, 0)))
@@ -289,7 +302,7 @@ def _solve_records(s_range, c_range) -> list[ScanRecord]:
         *(pytest.param(*grid, None, id=f"random-{i}") for i, grid in enumerate(_random_grids(12))),
     ],
 )
-def test_sieved_spans_match_the_point_path(monkeypatch, s_range, c_range, point_spans):
+def test_span_records_match_solve(monkeypatch, s_range, c_range, point_spans):
     # every record is the one solve() gives, and only spans that are not
     # enumerated call scan.solve, at every point with 3 | d0 but c = s^3
     records = _solve_records(s_range, c_range)

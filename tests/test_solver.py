@@ -22,6 +22,7 @@ from cubetriples.solver import (
     TripleSystem,
     _closure,
     _discriminants,
+    _span_solutions,
     candidate_zs,
     completeness_bound,
     solve,
@@ -914,6 +915,33 @@ class TestDivisorFreeCrossCheck:
             m = rng.choice((1, -1)) * rng.randint(10**11, 10**12)
             system = TripleSystem(s, s**3 + 3 * m)
             assert solve(system).triples == _solutions_by_bisection(system), (s, m)
+
+    def test_one_n_span_walk_at_large_caps(self):
+        # _span_solutions on a span of one N with top = icbrt(|N|), which
+        # scan enumerates only up to a cap of ENUMERATION_RATIO, at caps up
+        # to 10^4; half the systems are planted with a least coordinate at
+        # or near the cap, and every sign of s and of N occurs
+        rng = random.Random(20124)
+        systems = []
+        while len(systems) < 1200:
+            t = rng.randint(1, 10**4)
+            if len(systems) % 2:
+                s = rng.randint(-2 * t, 2 * t)
+                n = rng.choice((1, -1)) * rng.randint(t**3, (t + 1) ** 3 - 1)
+            else:
+                # (u, v, w) = (s - X, s - Y, s - Z) with |w| = t least
+                u, v, w = ((t + rng.randint(0, 3) * (i < 2)) * rng.choice((-1, 1)) for i in range(3))
+                if (u + v + w) % 2:
+                    continue
+                s, n = (u + v + w) // 2, -u * v * w
+            systems.append((s, n))
+        found = 0
+        for s, n in systems:
+            walked = _closure(s, _span_solutions(s, n, n, icbrt(abs(n))).get(n, []))
+            assert walked == solve(TripleSystem(s, s**3 + 3 * n)).triples, (s, n)
+            found += bool(walked)
+        assert {(s > 0, n > 0) for s, n in systems if s} == set(itertools.product((False, True), repeat=2))
+        assert found >= 600
 
 
 class TestSolutionSetJson:
