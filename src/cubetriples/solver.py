@@ -186,23 +186,23 @@ class SolutionSet(NamedTuple):
     def from_json_dict(cls, data: dict[str, Any]) -> "SolutionSet":
         """The solution set whose to_json_dict() is data.  ValueError for
         anything to_json_dict() cannot write: data that is not a dict, an
-        unknown kind, a missing key, a solution that is not a list of
-        exactly three ints, or an anchor that is not an int; a bool, a
-        float or a string is not an int here."""
+        unknown kind, a key set other than the kind's two keys, a solution
+        that is not a list of exactly three ints, or an anchor that is not
+        an int; a bool, a float or a string is not an int here."""
         if not isinstance(data, dict):
             raise ValueError(f"a solution set is a dict, not {type(data).__name__}")
         kind = data.get("kind")
         if kind == "finite":
             solutions = data.get("solutions")
-            if type(solutions) is not list or not all(
+            if data.keys() != {"kind", "solutions"} or type(solutions) is not list or not all(
                 type(t) is list and len(t) == 3 and all(type(v) is int for v in t) for t in solutions
             ):
-                raise ValueError("a finite solution set needs solutions, a list of [x, y, z] int lists")
+                raise ValueError("a finite set has only kind and solutions, a list of [x, y, z] int lists")
             return cls.finite(tuple(Triple(*t) for t in solutions))
         if kind == "infinite_family":
             anchor = data.get("family_anchor")
-            if type(anchor) is not int:
-                raise ValueError("an infinite family needs family_anchor, an int")
+            if data.keys() != {"kind", "family_anchor"} or type(anchor) is not int:
+                raise ValueError("an infinite family has only kind and family_anchor, an int")
             return cls.infinite_family(anchor)
         raise ValueError(f"unknown solution-set kind {kind!r}")
 
@@ -245,16 +245,17 @@ def _residue_table(s9: int, n18: int) -> bytes:
     )
 
 
-def _tested_ks(s: int, d0: int) -> tuple[int, int, tuple[int, ...], list[int], list[int]] | None:
+def _tested_ks(s: int, d0: int) -> tuple[int, int, int, tuple[int, ...], list[int], list[int]] | None:
     """The pivot plan of the system with sum s and d0 = c - s^3 != 0: the
     one place that decides which pivots are tested, for solve() and
     derive_trace alike.  None when no pivot is admissible, which is when 3
-    does not divide d0; else (reduced, L, signs, divisors, ks) for
-    reduced = d0/3 and the cap L = icbrt(|reduced|).  divisors are the
-    divisors d <= L of reduced that _divisors_up_to lists; signs is (1, -1),
-    or only the sign of reduced where the sign rule holds; and ks, in no
-    particular order, are the pivots k = sign * d that the residue rule
-    keeps.  The module docstring proves the cap and both rules.
+    does not divide d0; else (reduced, L, a, signs, divisors, ks) for
+    reduced = d0/3, the cap L = icbrt(|reduced|) and the sign rule's shift
+    a = s if reduced < 0 else -s.  divisors are the divisors d <= L of
+    reduced that _divisors_up_to lists; signs is (1, -1), or only the sign
+    of reduced where the sign rule holds; and ks, in no particular order,
+    are the pivots k = sign * d that the residue rule keeps.  The module
+    docstring proves the cap and both rules.
     """
     if d0 % 3 != 0:
         return None
@@ -267,7 +268,7 @@ def _tested_ks(s: int, d0: int) -> tuple[int, int, tuple[int, ...], list[int], l
     ks = [d for d in divisors if ok[d % 18]] if 1 in signs else []
     if -1 in signs:
         ks += [-d for d in divisors if ok[-d % 18]]
-    return reduced, cap, signs, divisors, ks
+    return reduced, cap, a, signs, divisors, ks
 
 
 def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> dict[int, list[tuple[int, tuple[int]]]]:
@@ -407,7 +408,7 @@ def solve(system: TripleSystem) -> SolutionSet:
     plan = _tested_ks(s, d0)
     if plan is None:
         return SolutionSet.finite(())
-    reduced, _, _, _, ks = plan
+    reduced, _, _, _, _, ks = plan
     hits = [
         (k, discriminant)
         for k, discriminant in zip(ks, _discriminants(s, reduced, ks))

@@ -83,17 +83,20 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     Four steps reduce the system to one quadratic in X per pivot Z.  With
     d0 = c - s^3 = 0 a factor step and the infinite family follow.
     Otherwise the trace renders solve()'s pivot plan, _tested_ks, and makes
-    solve()'s other solver calls in solve()'s order.  The divisibility step
-    states whether 3 | d0.  When it does, the cap step, the sign step where
-    the sign rule applies and the residue step where the residue rule drops
-    a listed pivot state those results with this system's numbers; the
-    solver's module docstring proves them.  The candidates step lists the
-    tested pivots with z ascending, one step per pivot tests its quadratic,
-    and the solutions step closes the roots under the permutations.  So the
-    trace raises IncompleteFactorizationError exactly where solve() does.
+    solve()'s other solver calls in solve()'s order.  The plan alone decides
+    whether 3 | d0, which the substitute and divisibility steps state, and
+    gives the sign step its shift.  When 3 | d0, the cap step, the sign step
+    where the sign rule applies and the residue step where the residue rule
+    drops a listed pivot state those results with this system's numbers;
+    the solver's module docstring proves them.  The candidates step lists
+    the tested pivots with z ascending, one step per pivot tests its
+    quadratic, and the solutions step closes the roots under the
+    permutations.  So the trace raises IncompleteFactorizationError exactly
+    where solve() does.
     """
     s, c = system.s, system.c
     d0 = system.d0
+    plan = _tested_ks(s, d0) if d0 else None
     steps: list[TraceStep] = []
 
     def add(label: str, equation_text: str, note: str) -> None:
@@ -103,13 +106,6 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     s_minus_z = f"{s_minus}Z"
     z_minus_s = f"Z{_term(-s)}"
     z_minus_s_coefficient = "Z" if s == 0 else f"({z_minus_s})"
-    # for the rendered text only: the substituted remainder, in lowest terms
-    # when 3 | d0
-    reduced, remainder = divmod(d0, 3)
-    if remainder:
-        substitute_rhs = _fraction(d0, f"3({s_minus_z})", f"3({z_minus_s})")
-    else:
-        substitute_rhs = _fraction(reduced, s_minus_z, z_minus_s)
 
     add(
         "rearrange-linear",
@@ -131,6 +127,11 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
     )
 
     substitute_lhs = f"X^2 + {z_minus_s_coefficient}X{_term(-s, 'Z')}"
+    # the remainder, in lowest terms where the plan admits pivots
+    if plan is None:
+        substitute_rhs = _fraction(d0, f"3({s_minus_z})", f"3({z_minus_s})")
+    else:
+        substitute_rhs = _fraction(plan[0], s_minus_z, z_minus_s)
     add(
         "substitute",
         f"{substitute_lhs} = {substitute_rhs}",
@@ -153,7 +154,6 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         )
         return steps
 
-    plan = _tested_ks(s, d0)
     if plan is None:
         add(
             "divisibility",
@@ -161,10 +161,10 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             f"3({s_minus_z}) is a multiple of 3 but {d0} is not, so no "
             "integer Z is admissible.",
         )
-        ks = []
+        ks, discriminants = [], []
         candidates_note = f"No pivot is admissible, because 3 does not divide {d0}."
     else:
-        reduced, cap, signs, divisors, ks = plan
+        reduced, cap, a, signs, divisors, ks = plan
         one_sign = len(signs) == 1
         add(
             "divisibility",
@@ -185,8 +185,6 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
         if one_sign:
             tested, rootless = ("<", ">") if reduced > 0 else (">", "<")
             n4 = 4 * abs(reduced)
-            # the opposite side's pivots k have (k - 2s)^2 = (|k| - 2a)^2
-            a = s if reduced < 0 else -s
             if a <= 0:
                 bound = (
                     f"is at most (|k| + 2|s|)^2 - {n4}/|k|, which is negative for "
@@ -237,7 +235,7 @@ def derive_trace(system: TripleSystem) -> list[TraceStep]:
             f"of absolute value at most {cap}{sign_clause}."
         )
         ks.sort(reverse=True)
-    discriminants = _discriminants(s, reduced, ks)
+        discriminants = _discriminants(s, reduced, ks)
     pivot_roots = [_roots(k, discriminant) for k, discriminant in zip(ks, discriminants)]
     candidate_list = ", ".join(str(s - k) for k in ks)
     add("candidates", f"Z in {{{candidate_list}}}", candidates_note)

@@ -204,9 +204,11 @@ def _assert_plan_follows_the_rule(system: TripleSystem) -> bool:
     applies the sign rule exactly where _sign_rule_applies does, and where
     it does, t(t - 2a)^2 < 4|N| for every integer 1 <= t <= L, not only for
     divisors, and every skipped divisor has a negative discriminant.  It
-    lists the _listed_pivots and tests exactly those that _residue_keeps.
-    Returns whether the sign rule applied."""
-    _, cap, signs, divisors, ks = solver._tested_ks(system.s, system.d0)
+    lists the _listed_pivots and tests exactly those that _residue_keeps,
+    and its shift is _side_cubic's a.  Returns whether the sign rule
+    applied."""
+    _, cap, shift, signs, divisors, ks = solver._tested_ks(system.s, system.d0)
+    assert shift == _side_cubic(system)[1], system
     one_sign = len(signs) == 1
     assert one_sign is _sign_rule_applies(system), system
     listed = [sign * d for sign in signs for d in divisors]
@@ -451,9 +453,9 @@ class TestSignRule:
         ]
         plans = [plan for plan in plans if plan is not None]
         assert len(plans) == 13490
-        assert sum(len(signs) == 1 for _, _, signs, _, _ in plans) == 12570
-        assert sum(len(signs) * len(divisors) for _, _, signs, divisors, _ in plans) == 45218
-        assert sum(len(ks) for _, _, _, _, ks in plans) == 17670
+        assert sum(len(signs) == 1 for _, _, _, signs, _, _ in plans) == 12570
+        assert sum(len(signs) * len(divisors) for _, _, _, signs, divisors, _ in plans) == 45218
+        assert sum(len(ks) for _, _, _, _, _, ks in plans) == 17670
 
     def test_opposite_sign_pivots_rootless_on_sweep(self):
         # fired counts the points where the rule applies, and wide those of
@@ -595,7 +597,7 @@ class TestResidueRule:
             discriminant = (k - 2 * system.s) ** 2 + 4 * (n // k)
             if discriminant >= 0 and math.isqrt(discriminant) ** 2 == discriminant:
                 assert table[k % 18], (system, k)
-        _, _, signs, divisors, ks = solver._tested_ks(system.s, system.d0)
+        _, _, _, signs, divisors, ks = solver._tested_ks(system.s, system.d0)
         dropped = sorted({sign * d for sign in signs for d in divisors} - set(ks))
         for k, discriminant in zip(dropped, _discriminants(system.s, n, dropped)):
             assert discriminant < 0 or math.isqrt(discriminant) ** 2 != discriminant, (system, k)
@@ -668,12 +670,15 @@ class TestOnePivotPlan:
 
     def test_an_empty_plan_empties_solve_and_trace(self, monkeypatch):
         # (3, 3) has four solutions; a plan of no pivot must leave none in
-        # either caller, whatever 3 | d0 says
+        # either caller, whatever 3 | d0 says, and trace's substitute step
+        # then takes the form for 3 not dividing d0
         monkeypatch.setattr(solver, "_tested_ks", lambda s, d0: None)
         monkeypatch.setattr(trace, "_tested_ks", lambda s, d0: None)
         assert solve(SYS33) == SolutionSet.finite(())
         steps = derive_trace(SYS33)
         assert [step.equation_text for step in steps[-2:]] == ["Z in {}", "(X, Y, Z) in {}"]
+        (substitute,) = [step for step in steps if step.label == "substitute"]
+        assert substitute.equation_text.endswith(" = 24/(3(Z - 3))"), substitute
 
 
 class TestCompletenessBound:
@@ -978,6 +983,9 @@ class TestSolutionSetJson:
             {"kind": "infinite_family", "family_anchor": True},
             {"kind": "infinite_family", "family_anchor": "12"},
             {"kind": "infinite_family", "family_anchor": None},
+            # keys to_json_dict never writes for the kind
+            {"kind": "finite", "solutions": [], "family_anchor": 5},
+            {"kind": "infinite_family", "family_anchor": 3, "solutions": [[1, 2, 3]]},
         ]:
             with pytest.raises(ValueError):
                 SolutionSet.from_json_dict(data)
