@@ -17,8 +17,8 @@ over c.  A point with 3 not dividing d0 gets the empty record, c = s^3 the
 infinite family, and every other point the record its solutions give, built
 by the same lines.  Only where the solutions come from depends on the span.
 Where the largest cap K = icbrt(max |N|) is small next to the count of N,
-the solver's _span_solutions lists the solutions of the whole span at once,
-and each N with any gets its record from _closure; every other N has none.
+the solver's _span_solutions walks the whole span at once and hands back
+the triples of each N, closed and sorted as solve() gives them.
 Elsewhere each point calls solve(), which divides or factors N.  A span
 with no point where 3 | d0 calls neither.  The solver's module docstring
 proves both sources complete.
@@ -57,7 +57,7 @@ from collections import deque
 from typing import Any, Iterator, NamedTuple
 
 from .intmath import icbrt
-from .solver import Triple, TripleSystem, _closure, _span_solutions, solve
+from .solver import Triple, TripleSystem, _span_solutions, solve
 
 __all__ = ["ScanRecord", "record_to_json", "scan_grid"]
 
@@ -122,7 +122,7 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
     n_lo = -((s3 - c_lo) // 3)
     n_hi = (c_hi - s3) // 3
     top = icbrt(max(-n_lo, n_hi, 1))
-    hits = _span_solutions(s, n_lo, n_hi, top) if top <= ENUMERATION_RATIO * (n_hi - n_lo + 1) else None
+    triples_of = _span_solutions(s, n_lo, n_hi, top) if top <= ENUMERATION_RATIO * (n_hi - n_lo + 1) else None
     # finite records are built with tuple.__new__, which skips ScanRecord's
     # Python-level __new__, and write the last field out as
     # completeness_bound: both are per-point costs
@@ -136,12 +136,7 @@ def _row(s: int, c_lo: int, c_hi: int, include_solutions: bool) -> Iterator[Scan
         if n == 0:
             yield ScanRecord(s, c, "infinite_family")
             continue
-        if hits is None:
-            triples = solve(TripleSystem(s, c)).triples
-        elif n in hits:
-            triples = _closure(s, hits[n])
-        else:
-            triples = ()
+        triples = solve(TripleSystem(s, c)).triples if triples_of is None else triples_of(n)
         yield tuple.__new__(
             ScanRecord, (s, c, "finite", len(triples), triples if include_solutions else None, abs_s + abs(n))
         )

@@ -17,7 +17,9 @@ the infinite family of permutations of (s, t, -t).
 This module draws solutions from that reduction in two ways, and this
 docstring is where both are proven.  _tested_ks lists one point's divisor
 pivots for solve() and the trace; _span_solutions walks a least coordinate
-for a whole span of N at once, for scan.
+for a whole span of N at once, for scan.  solve() and the function that
+_span_solutions returns both hand back triples closed and sorted by
+_closure.
 
 The identity and the cap.  For a solution write u = s - X, v = s - Y and
 w = s - Z, so u + v + w = 2s.  The identity (X + Y + Z)^3 - X^3 - Y^3 - Z^3
@@ -96,7 +98,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .intmath import _divisors_up_to, icbrt, isqrt, signed_divisors
 
@@ -220,7 +222,11 @@ def candidate_zs(system: TripleSystem) -> list[CandidateZ]:
     values any solution coordinate can take in a non-degenerate system.  So
     the list is empty unless 3 | d0, and otherwise k runs over every signed
     divisor of d0/3, the pivots that solve() skips by the cap, the sign rule
-    or the residue rule included.
+    or the residue rule included.  Listing every divisor needs d0/3 fully
+    factored, so this raises IncompleteFactorizationError where the cofactor
+    is not certified prime, also where solve() answers by trial division to
+    the cap: (0, 3000108000297) raises here with cofactor 1000036000099, and
+    solve() returns the empty set.
     """
     d0 = system.d0
     if d0 == 0:
@@ -271,11 +277,14 @@ def _tested_ks(s: int, d0: int) -> tuple[int, int, int, tuple[int, ...], list[in
     return reduced, cap, a, signs, divisors, ks
 
 
-def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> dict[int, list[tuple[int, tuple[int]]]]:
-    """{N: [(z, (x,)), ...]} for each N in n_lo .. n_hi with a solution at
-    sum s: one (z, (x,)) per solution (x, s - z - x, z) and per coordinate z
-    of least |s - z|, for any top >= icbrt(|N|) of every N.  The module
-    docstring proves the bounds."""
+def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> Callable[[int], tuple[Triple, ...]]:
+    """A function from each N in n_lo .. n_hi to the triples of the system
+    with sum s and d0 = 3N, closed and sorted by _closure exactly as solve()
+    gives them, so () where N has none; top is any bound >= icbrt(|N|) for
+    every N.  The walk runs once, here, and each call closes one N, so a
+    caller that reads the N one by one pays each closure at its own N.  The
+    walk finds each solution (x, s - z - x, z) once per coordinate z of
+    least |s - z|.  The module docstring proves the bounds."""
     hits: dict[int, list[tuple[int, tuple[int]]]] = {}
     s2 = 2 * s
     # the N < 0 and the N > 0 of the span, as g = sign(N) and low <= |N| <= high
@@ -325,7 +334,7 @@ def _span_solutions(s: int, n_lo: int, n_hi: int, top: int) -> dict[int, list[tu
                     for e in range(e + ((e - m) & 1), top_e + 1, 2):
                         u = (m + e) // 2
                         hits.setdefault(-w * u * (m - u), []).append((s - w, (s - u,)))
-    return hits
+    return lambda n: _closure(s, hits[n]) if n in hits else ()
 
 
 def _discriminants(s: int, reduced: int, ks: Iterable[int]) -> list[int]:

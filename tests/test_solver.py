@@ -773,8 +773,12 @@ class TestSolve:
     def test_cap_below_trial_limit_needs_no_cofactor(self):
         # d0/3 = 1000003 * 1000033 does not factor by trial division, but
         # trial division to its cube-root cap 10**4 proves its only divisor
-        # up to the cap is 1
+        # up to the cap is 1; candidate_zs lists every divisor, so it needs
+        # the cofactor certified and raises
         assert solve(TripleSystem(0, 3000108000297)) == SolutionSet.finite(())
+        with pytest.raises(IncompleteFactorizationError) as excinfo:
+            candidate_zs(TripleSystem(0, 3000108000297))
+        assert excinfo.value.cofactor == 1000003 * 1000033
 
     def test_incomplete_factorization_raises(self):
         # d0/3 = 2 * 1000003 * 1000033 * 1000037: the cap, about 1.26e6, lies
@@ -925,7 +929,9 @@ class TestDivisorFreeCrossCheck:
         # _span_solutions on a span of one N with top = icbrt(|N|), which
         # scan enumerates only up to a cap of ENUMERATION_RATIO, at caps up
         # to 10^4; half the systems are planted with a least coordinate at
-        # or near the cap, and every sign of s and of N occurs
+        # or near the cap, and every sign of s and of N occurs.  Then on
+        # seeded spans of several N, some of them across N = 0, where every
+        # N of the span must get solve's triples, and N = 0 none
         rng = random.Random(20124)
         systems = []
         while len(systems) < 1200:
@@ -942,11 +948,32 @@ class TestDivisorFreeCrossCheck:
             systems.append((s, n))
         found = 0
         for s, n in systems:
-            walked = _closure(s, _span_solutions(s, n, n, icbrt(abs(n))).get(n, []))
+            walked = _span_solutions(s, n, n, icbrt(abs(n)))(n)
             assert walked == solve(TripleSystem(s, s**3 + 3 * n)).triples, (s, n)
             found += bool(walked)
         assert {(s > 0, n > 0) for s, n in systems if s} == set(itertools.product((False, True), repeat=2))
         assert found >= 600
+        spans = []
+        while len(spans) < 300:
+            if len(spans) % 2:
+                s = rng.randint(-300, 300)
+                n = rng.choice((1, -1)) * rng.randint(0, 10**rng.randint(1, 7))
+            else:
+                # a planted solution with (u, v, w) = (s - X, s - Y, s - Z)
+                u, v, w = (rng.choice((-1, 1)) * rng.randint(1, 1000) for _ in range(3))
+                if (u + v + w) % 2:
+                    continue
+                s, n = (u + v + w) // 2, -u * v * w
+            spans.append((s, n - rng.randint(0, 20), n + rng.randint(0, 20)))
+        found = 0
+        for s, n_lo, n_hi in spans:
+            triples_of = _span_solutions(s, n_lo, n_hi, icbrt(max(-n_lo, n_hi, 1)))
+            for n in range(n_lo, n_hi + 1):
+                expected = solve(TripleSystem(s, s**3 + 3 * n)).triples if n else ()
+                assert triples_of(n) == expected, (s, n_lo, n_hi, n)
+                found += bool(expected)
+        assert sum(n_lo <= 0 <= n_hi for _, n_lo, n_hi in spans) >= 10
+        assert found >= 150
 
 
 class TestSolutionSetJson:
